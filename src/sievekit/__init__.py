@@ -7,8 +7,7 @@ exact desk-scale counting experiments over windows (X, 2X] (experiments),
 all on top of a vectorized prime toolkit (primes).
 """
 
-from .experiments import (SHARP, ExperimentConfig, QuadraticWindowStats,
-                          SmoothWeight,
+from .experiments import (SHARP, QuadraticWindowStats, SmoothWeight,
                           A_d_count, Q_ell, Q_ell_brute, Q_ell_u,
                           almost_prime_survey, bt_exception_count,
                           bv_error_average, chebyshev_decomposition,
@@ -24,8 +23,7 @@ from .reports import ExperimentReport, TheoremReport, markdown_summary, to_json
 from .sieve_functions import (BuchstabTable, SieveFunctionTable,
                               Sigma2DomainError, buchstab_w,
                               build_buchstab_table, build_sieve_tables,
-                              dump_tables_csv, eval_F, eval_f, load_tables_csv,
-                              selberg_sigma2)
+                              eval_F, eval_f, selberg_sigma2)
 from .theorems import (GammaThetaSpec, HypothesisViolationError,
                        InfeasibilityError, WeightedSieveParams, c1_integral,
                        c2_integral, compute_C, compute_H, compute_Hq,
@@ -37,7 +35,7 @@ from .theorems import (GammaThetaSpec, HypothesisViolationError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "A_d_count", "BuchstabTable", "CongruenceRootSet", "ExperimentConfig",
+    "A_d_count", "BuchstabTable", "CongruenceRootSet",
     "ExperimentReport", "Factorization", "GammaThetaSpec",
     "HypothesisViolationError", "InfeasibilityError", "PrimeTable", "Q_ell",
     "Q_ell_brute", "Q_ell_u", "QuadraticWindowStats", "SieveFunctionTable",
@@ -46,10 +44,10 @@ __all__ = [
     "buchstab_w", "build_buchstab_table", "build_sieve_tables",
     "bv_error_average", "c1_integral", "c2_integral",
     "chebyshev_decomposition", "compute_C", "compute_H", "compute_Hq",
-    "compute_frak_c", "dartyge_margin", "dartyge_survey", "dump_tables_csv",
+    "compute_frak_c", "dartyge_margin", "dartyge_survey",
     "eta_theta", "eval_F", "eval_f", "factorize", "find_max_vartheta",
     "find_min_u", "gamma_theta", "gpf_survey", "is_prime", "jacobi",
-    "load_tables_csv", "markdown_summary", "multiplicative_suite",
+    "markdown_summary", "multiplicative_suite",
     "optimize_beta", "optimize_gamma12", "phi_sifted", "phi_sifted_coprime",
     "quadratic_window_stats", "r_d_error", "rho", "roots_mod",
     "selberg_sigma2", "sieve_primes", "solve_delta", "sqrt_minus_one",

@@ -3,7 +3,7 @@
 Four machine-oriented output shapes: theorem and experiment reports as
 versioned JSON, function tables and curves as CSV, and a Markdown digest
 aggregated from saved JSON.  Every run is deterministic for a fixed set of
-inputs, independent of the thread-count hint.
+inputs.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import experiments, theorems
 from .experiments import SmoothWeight
-from .primes import PrimeTable, sieve_primes
+from .primes import sieve_primes
 from .reports import ExperimentReport, markdown_summary, to_json
 from .sieve_functions import (BuchstabTable, SieveFunctionTable, buchstab_w,
                               build_buchstab_table, build_sieve_tables,
@@ -37,7 +37,7 @@ DEFAULTS = {
 
 _CONFIG_COERCE = {
     "X": int, "ell": int, "r": int, "k": int, "d": int, "a": int, "L": int,
-    "p": int, "q": int, "m": int, "max_pq": int, "threads": int,
+    "p": int, "q": int, "m": int, "max_pq": int,
     "u": float, "theta0": float, "vartheta": float, "theta": float,
     "alpha": float, "beta": float, "z": float, "epsilon0": float,
     "table_step": float, "beta_step": float, "step": float,
@@ -89,16 +89,6 @@ def _emit(text: str, out: str | None) -> None:
     else:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
-
-
-_PRIME_TABLE: PrimeTable | None = None
-
-
-def _prime_table(limit: int) -> PrimeTable:
-    global _PRIME_TABLE
-    if _PRIME_TABLE is None or _PRIME_TABLE.limit < limit:
-        _PRIME_TABLE = sieve_primes(limit)
-    return _PRIME_TABLE
 
 
 def _function_tables(step: float) -> tuple[SieveFunctionTable, BuchstabTable]:
@@ -196,7 +186,7 @@ def _run_experiment(args: argparse.Namespace):
                   or report.counters["bound_holds"])
         return report, ok
 
-    table = _prime_table(max(2 * args.X, 10 ** 5))
+    table = sieve_primes(max(2 * args.X, 10 ** 5))
     X = args.X
     if name == "q-ell":
         value = experiments.Q_ell(X, args.ell, w, table)
@@ -275,8 +265,7 @@ def _cmd_empirical(args: argparse.Namespace) -> int:
 def _cmd_plot_data(args: argparse.Namespace) -> int:
     ftable, _ = _function_tables(args.table_step)
     beta_star, _c_star, curve = theorems.optimize_beta(
-        args.r, args.alpha, ftable, step=args.beta_step,
-        threads=args.threads)
+        args.r, args.alpha, ftable, step=args.beta_step)
     lines = ["beta,C,is_max"]
     for beta, c in curve:
         lines.append(f"{beta:.6f},{c:.17g},{int(beta == beta_star)}")
@@ -309,15 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "quadratic values at prime arguments.")
     parser.add_argument("--config", help="key = value parameter file")
     parser.add_argument("--out", help="write output to this path")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker hint (default SIEVEKIT_THREADS or 1)")
 
     # The same flags are accepted after the subcommand; SUPPRESS keeps an
     # absent trailing flag from clobbering a value parsed at the front.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
 
     sub = parser.add_subparsers(dest="command", required=True)
 

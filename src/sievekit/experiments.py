@@ -18,7 +18,7 @@ import numpy as np
 
 from .numerics import integrate_checked
 from .primes import (PrimeTable, is_prime, jacobi, multiplicative_suite, rho,
-                     roots_mod, sieve_primes, sqrt_minus_one, x_flat)
+                     roots_mod, sieve_primes, sqrt_minus_one_lifts, x_flat)
 from .reports import ExperimentReport
 from .theorems import WeightedSieveParams, gamma_theta
 
@@ -95,19 +95,6 @@ def weight_eval(w: SmoothWeight, x: float) -> float:
     if w.mode == "sharp":
         return 1.0 if 1.0 < x <= 2.0 else 0.0
     return float(w.values(np.asarray([x]))[0])
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Shared run parameters; seed exists for config compatibility only
-    (every computation here is deterministic without it)."""
-    X: int
-    weight: SmoothWeight = SHARP
-    threads: int | None = None
-    seed: int = 1729
-
-    def __post_init__(self):
-        _check_window(self.X)
 
 
 def _weighted_sum(w: SmoothWeight, n: np.ndarray, X: int) -> float:
@@ -212,7 +199,7 @@ def A_d_count(X: int, ell: int, d: int, w: SmoothWeight,
         hits.append(_progressions(X, [n0 % step], step))
     if not hits:
         return 0.0
-    n = np.concatenate(hits) if hits else np.empty(0, dtype=np.int64)
+    n = np.concatenate(hits)
     n.sort()
     return _weighted_sum(w, n, X)
 
@@ -235,6 +222,24 @@ def _class_sums(values: np.ndarray, n: np.ndarray, d: int) -> np.ndarray:
     return np.bincount((n % d).astype(np.int64), weights=values, minlength=d)
 
 
+def _error_average(vals: np.ndarray, n: np.ndarray, D: int, k: int,
+                   table: PrimeTable, main_term) -> float:
+    """Sum over d <= D of tau(d)^k * max over coprime a of |class sum - main|.
+
+    main_term(d, sums, residues) gives the main term from the class sums of
+    vals over n mod d and the residues coprime to d.
+    """
+    rows = []
+    for d in range(1, D + 1):
+        tau_d = multiplicative_suite(d, table)["tau"]
+        sums = _class_sums(vals, n, d)
+        residues = _coprime_residues(d)
+        main = main_term(d, sums, residues)
+        worst = max(abs(float(sums[a % d]) - main) for a in residues)
+        rows.append(tau_d ** k * worst)
+    return float(np.sum(np.asarray(rows))) if rows else 0.0
+
+
 def bv_error_average(X: int, k: int, w: SmoothWeight,
                      table: PrimeTable) -> ExperimentReport:
     """Divisor-weighted average of max-over-residue prime-count errors.
@@ -251,15 +256,9 @@ def bv_error_average(X: int, k: int, w: SmoothWeight,
     p = table.primes_between(X, 2 * X)
     vals = w.values(p.astype(np.float64) / X)
     total = float(np.sum(vals))
-    rows = []
-    for d in range(1, D + 1):
-        suite = multiplicative_suite(d, table)
-        sums = _class_sums(vals, p, d)
-        main = total / suite["phi"]
-        worst = max(abs(float(sums[a % d]) - main)
-                    for a in _coprime_residues(d))
-        rows.append(suite["tau"] ** k * worst)
-    value = float(np.sum(np.asarray(rows))) if rows else 0.0
+    # phi(d) is the number of residues coprime to d
+    value = _error_average(vals, p, D, k, table,
+                           lambda d, sums, residues: total / len(residues))
     scale = X / math.log(X) ** 2
     return ExperimentReport(
         name="bv_error_average",
@@ -272,7 +271,10 @@ def bv_error_average(X: int, k: int, w: SmoothWeight,
 
 def wolke_error_average(X: int, z: float, k: int, w: SmoothWeight,
                         table: PrimeTable) -> ExperimentReport:
-    """Same average as bv_error_average with primes replaced by z-rough n."""
+    """Same average as bv_error_average with primes replaced by z-rough n.
+
+    The main term is the mean of the coprime class sums.
+    """
     _check_window(X, min(X_FACTOR_CAP, table.limit // 2))
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -280,16 +282,11 @@ def wolke_error_average(X: int, z: float, k: int, w: SmoothWeight,
     n = np.arange(X + 1, 2 * X + 1, dtype=np.int64)
     n = n[table.smallest_prime_factor[n] > z]
     vals = w.values(n.astype(np.float64) / X)
-    rows = []
-    for d in range(1, D + 1):
-        sums = _class_sums(vals, n, d)
-        residues = _coprime_residues(d)
-        coprime_total = float(sum(sums[a % d] for a in residues))
-        main = coprime_total / len(residues)
-        worst = max(abs(float(sums[a % d]) - main) for a in residues)
-        tau_d = multiplicative_suite(d, table)["tau"]
-        rows.append(tau_d ** k * worst)
-    value = float(np.sum(np.asarray(rows))) if rows else 0.0
+
+    def main_term(d, sums, residues):
+        return float(sum(sums[a % d] for a in residues)) / len(residues)
+
+    value = _error_average(vals, n, D, k, table, main_term)
     scale = X / math.log(X) ** 2
     return ExperimentReport(
         name="wolke_error_average",
@@ -325,9 +322,7 @@ def iter_quadratic_strikes(X: int, table: PrimeTable,
     for ell in map(int, table.primes_between(2, top)):
         if ell % 4 != 1:
             continue
-        r = sqrt_minus_one(ell)
-        q, k = ell, 1
-        while True:
+        for k, (q, r) in enumerate(sqrt_minus_one_lifts(ell, m_max), 1):
             parts = []
             for a in (r, q - r):
                 start = (a - lo) % q
@@ -337,13 +332,6 @@ def iter_quadratic_strikes(X: int, table: PrimeTable,
                 break  # deeper levels strike subsets of this one
             idx = parts[0] if len(parts) == 1 else np.concatenate(parts)
             yield ell, k, q, idx
-            if q > m_max // ell:
-                break
-            q_next = q * ell
-            inv = pow(2 * r % q_next, -1, q_next)
-            r = (r - (r * r + 1) * inv) % q_next
-            q, k = q_next, k + 1
-            r = min(r, q - r)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,9 @@
-"""Shared numerical kernels: quadrature, root finding, deterministic reductions."""
+"""Shared numerical kernels: quadrature, root finding, parabolic refinement."""
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
-
-import numpy as np
+from typing import Callable, Sequence
 
 # Euler-Mascheroni constant, fixed literal (float64 rounds the 20-digit value).
 EULER_GAMMA = 0.5772156649015328606065
@@ -118,42 +114,3 @@ def parabolic_peak(x: Sequence[float], y: Sequence[float]) -> float:
     if denom == 0.0:
         return x1
     return x1 - ((x1 - x0) * d1 - (x1 - x2) * d2) / denom
-
-
-def pairwise_sum(values: Iterable[float]) -> float:
-    """Fixed-order pairwise sum; identical input order gives identical output."""
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
-        return 0.0
-    return float(np.sum(arr))
-
-
-def thread_count(hint: int | None = None) -> int:
-    """Worker count: explicit hint, else SIEVEKIT_THREADS, else 1."""
-    if hint is not None and hint >= 1:
-        return hint
-    env = os.environ.get("SIEVEKIT_THREADS", "")
-    try:
-        n = int(env)
-    except ValueError:
-        return 1
-    return n if n >= 1 else 1
-
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-
-def ordered_parallel_map(fn: Callable[[T], R], items: Sequence[T],
-                         threads: int | None = None) -> list[R]:
-    """Parallel map with an index-ordered gather.
-
-    The reduction order never depends on completion order, so results are
-    reproducible for any worker count (the hint only affects wall time).
-    """
-    n = thread_count(threads)
-    items = list(items)
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
+from typing import Iterator
 
 import numpy as np
 
@@ -243,19 +244,26 @@ def sqrt_minus_one(p: int) -> int:
     return min(r, p - r)
 
 
-def _lift_prime_power(p: int, k: int) -> list[int]:
-    """Roots of a^2+1 = 0 (mod p^k) for odd prime p, via Hensel lifting."""
-    if p % 4 == 3:
-        return []
-    r = sqrt_minus_one(p)
-    mod = p
-    for _ in range(k - 1):
-        # f(r) = r^2+1; Newton step with f'(r) = 2r invertible mod odd p.
-        mod_next = mod * p
-        inv = pow(2 * r % mod_next, -1, mod_next)
-        r = (r - (r * r + 1) * inv) % mod_next
-        mod = mod_next
-    return sorted((r, mod - r))
+def sqrt_minus_one_lifts(p: int, max_modulus: int
+                         ) -> Iterator[tuple[int, int]]:
+    """Yield (p^k, r) for k = 1, 2, ... while p^k <= max_modulus.
+
+    Level k = 1 is always yielded.  r is the smaller root of r^2 + 1 = 0
+    (mod p^k) for a prime p = 1 (mod 4), Hensel-lifted level by level from
+    sqrt_minus_one(p); the other root is p^k - r.  A consumer may stop
+    early, and no level beyond it is lifted.
+    """
+    q, r = p, sqrt_minus_one(p)
+    while True:
+        yield q, r
+        q_next = q * p
+        if q_next > max_modulus:
+            return
+        # Newton step for r^2 + 1; f'(r) = 2r is invertible mod odd p.
+        inv = pow(2 * r % q_next, -1, q_next)
+        r = (r - (r * r + 1) * inv) % q_next
+        q = q_next
+        r = min(r, q - r)
 
 
 def roots_mod(d: int, table: PrimeTable | None = None) -> CongruenceRootSet:
@@ -268,8 +276,11 @@ def roots_mod(d: int, table: PrimeTable | None = None) -> CongruenceRootSet:
     for p, e in factorize(d, table).pairs:
         if p == 2:
             local = [1] if e == 1 else []
+        elif p % 4 == 3:
+            local = []
         else:
-            local = _lift_prime_power(p, e)
+            *_, (q, r) = sqrt_minus_one_lifts(p, p ** e)
+            local = [r, q - r]
         if not local:
             return CongruenceRootSet(modulus=d, roots=())
         parts.append((p ** e, local))

@@ -14,7 +14,6 @@ rule applies without interpolation error.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -52,6 +51,14 @@ def _grid_step_nodes(step: float, top: float) -> tuple[int, int]:
     return lag, round(top / step) + 1
 
 
+def _interp(x: float, step: float, grid: np.ndarray,
+            values: np.ndarray) -> float:
+    """Linear interpolation of tabulated values on a uniform grid from 0."""
+    i = int(min(x / step, len(grid) - 2))
+    t = (x - grid[i]) / step
+    return float((1.0 - t) * values[i] + t * values[i + 1])
+
+
 @dataclass(frozen=True)
 class SieveFunctionTable:
     step: float
@@ -59,12 +66,9 @@ class SieveFunctionTable:
     s_grid: np.ndarray
     F_values: np.ndarray
     f_values: np.ndarray
-    gamma_const: float = EULER_GAMMA
 
     def interp(self, s: float, values: np.ndarray) -> float:
-        i = int(min(s / self.step, len(self.s_grid) - 2))
-        t = (s - self.s_grid[i]) / self.step
-        return float((1.0 - t) * values[i] + t * values[i + 1])
+        return _interp(s, self.step, self.s_grid, values)
 
 
 @dataclass(frozen=True)
@@ -167,9 +171,7 @@ def buchstab_w(u: float, table: BuchstabTable) -> float:
         return 1.0 / u
     if u <= 3.0:
         return (1.0 + math.log(u - 1.0)) / u
-    i = int(min(u / table.step, len(table.u_grid) - 2))
-    t = (u - table.u_grid[i]) / table.step
-    return float((1.0 - t) * table.w_values[i] + t * table.w_values[i + 1])
+    return _interp(u, table.step, table.u_grid, table.w_values)
 
 
 def selberg_sigma2(s: float) -> float:
@@ -179,32 +181,3 @@ def selberg_sigma2(s: float) -> float:
             f"sigma2 branch is defined only for 0 < s <= 2, got s={s}; "
             "no continuation beyond 2 is available")
     return EIGHT_E_2GAMMA / (s * s)
-
-
-def dump_tables_csv(table: SieveFunctionTable, path: str,
-                    stride: int = 1) -> None:
-    """Write grid rows (s, F, f) for inspection; stride thins the grid."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "F", "f"])
-        for i in range(0, len(table.s_grid), stride):
-            writer.writerow([f"{table.s_grid[i]:.6f}",
-                             f"{table.F_values[i]:.12g}",
-                             f"{table.f_values[i]:.12g}"])
-
-
-def load_tables_csv(path: str) -> SieveFunctionTable:
-    """Rebuild a table from a dump; step is inferred from the first rows."""
-    s_list, F_list, f_list = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            s_list.append(float(row[0]))
-            F_list.append(float(row[1]))
-            f_list.append(float(row[2]))
-    step = s_list[1] - s_list[0]
-    return SieveFunctionTable(step=step, s_max=s_list[-1],
-                              s_grid=np.asarray(s_list),
-                              F_values=np.asarray(F_list),
-                              f_values=np.asarray(f_list))

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .numerics import (E_GAMMA, QuadratureError, bisect_root, integrate_checked,
-                       integrate_piecewise, ordered_parallel_map, parabolic_peak)
+                       integrate_piecewise, parabolic_peak)
 from .primes import is_prime, rho, sieve_primes
 from .reports import TheoremReport
 from .sieve_functions import (BuchstabTable, SieveFunctionTable,
@@ -48,16 +48,10 @@ class GammaThetaSpec:
             if Fraction(a1 - b1 * bp, c1) != Fraction(a2 - b2 * bp, c2):
                 raise ValueError(f"pieces {i} and {i + 1} disagree at {bp}")
 
-    def value(self, theta: Fraction) -> Fraction:
-        """Exact rational evaluation (right endpoint uses the last piece)."""
-        i = min(bisect_right(self.breakpoints, theta) - 1, len(self.pieces) - 1)
-        a, b, c = self.pieces[i]
-        return Fraction(a - b * theta, c)
-
 
 GAMMA_SPEC = GammaThetaSpec()
 
-THETA_MAX = Fraction(16, 17)
+THETA_MAX = GAMMA_SPEC.breakpoints[-1]
 ETA_THETA_MAX = Fraction(112, 131)
 GAMMA12_THETA_MAX = Fraction(8015, 11659)
 BETA_HYPOTHESIS_MAX = 0.68
@@ -69,14 +63,13 @@ assert C2_NUMERATOR == 4 * GAMMA12_SCALE
 
 
 def _gamma_value(theta: float) -> float:
-    """Piece evaluation without the domain check (clamps to the last piece)."""
-    bps = GAMMA_SPEC.breakpoints
-    if theta < bps[1]:
-        i = 0
-    elif theta < bps[2]:
-        i = 1
-    else:
-        i = 2
+    """Piece evaluation without the domain check (clamps to the end pieces).
+
+    The piece is chosen by exact comparison with the Fraction breakpoints,
+    so a Fraction theta gives an exact Fraction value.
+    """
+    i = bisect_right(GAMMA_SPEC.breakpoints, theta, 1,
+                     len(GAMMA_SPEC.pieces)) - 1
     a, b, c = GAMMA_SPEC.pieces[i]
     return (a - b * theta) / c
 
@@ -112,11 +105,11 @@ def theorem2_integral(vartheta: float) -> TheoremReport:
     Antiderivative path is exact logarithms; an adaptive-quadrature path
     re-derives the total and must agree to 1e-6 or the run aborts.
     """
-    if not Fraction(32, 41) <= Fraction(vartheta) < THETA_MAX:
+    if not GAMMA_SPEC.breakpoints[-2] <= Fraction(vartheta) < THETA_MAX:
         raise ValueError(f"vartheta must lie in [32/41, 16/17), got {vartheta}")
     pieces = _theorem2_pieces(vartheta)
     total = sum(pieces)
-    knots = [0.5, float(Fraction(64, 97)), float(Fraction(32, 41)), vartheta]
+    knots = [float(bp) for bp in GAMMA_SPEC.breakpoints[:-1]] + [vartheta]
     quad = integrate_piecewise(lambda t: 2.0 / _gamma_value(t), knots)
     if abs(total - quad) > 1e-6:
         raise QuadratureError(
@@ -137,7 +130,7 @@ def theorem2_integral(vartheta: float) -> TheoremReport:
 
 def find_max_vartheta() -> float:
     """Largest vartheta with exceedance total equal to 3/2 (bisection root)."""
-    lo = float(Fraction(32, 41))
+    lo = float(GAMMA_SPEC.breakpoints[-2])
     hi = float(THETA_MAX) - 1e-9
     return bisect_root(lambda t: sum(_theorem2_pieces(t)) - 1.5, lo, hi)
 
@@ -315,8 +308,7 @@ def compute_C(params: WeightedSieveParams,
 
 def optimize_beta(r: int, alpha: float,
                   table: SieveFunctionTable,
-                  step: float = 1e-3,
-                  threads: int | None = None
+                  step: float = 1e-3
                   ) -> tuple[float, float, list[tuple[float, float]]]:
     """Scan C over the beta grid [0.41, 0.68); return maximizer and curve."""
     if r < 1:
@@ -333,8 +325,7 @@ def optimize_beta(r: int, alpha: float,
                                      delta=min(delta_root, beta), r=r)
         return compute_C(params, table).margin
 
-    cs = ordered_parallel_map(point, betas, threads=threads)
-    curve = list(zip(betas, cs))
+    curve = [(beta, point(beta)) for beta in betas]
     i = max(range(len(curve)), key=lambda k: curve[k][1])
     return curve[i][0], curve[i][1], curve
 

@@ -273,9 +273,10 @@ def test_criterion_8_surveys(prime_table):
     ok = frac > 0.0 and qualified > 0
     _verdict(8, ok,
              f"greatest-factor fraction {frac:.6f} > 0 at "
-             f"(X, vartheta) = (1e6, 0.847); {qualified} qualifiers with "
-             f"ratio > 1 among the {d.counters['qualifiers']} inputs with "
-             f"at most 11 prime factors at (X, u) = (1e5, 11.2); "
+             f"(X, vartheta) = (1e6, 0.847); {qualified} inputs with "
+             f"ratio > 1 and at most 11 prime factors among the "
+             f"{d.counters['qualifiers']} u-rough inputs (spf(n) > n^(1/u)) "
+             f"at (X, u) = (1e5, 11.2); "
              f"runtime {elapsed:.1f}s (report-grade)")
     assert frac > 0.0
     assert qualified > 0

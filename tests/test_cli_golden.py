@@ -1,0 +1,73 @@
+"""Golden outputs: stdout sha256 and exit code of fixed CLI commands.
+
+Each command runs in-process through ``cli.main`` and must reproduce the
+recorded exit code and the sha256 of its stdout byte for byte.  The list
+covers the average-error experiments at k = 0 and 1 with sharp and smooth
+weights, gamma(theta) evaluation (exact Fraction input, the excluded right
+endpoint, the default table), a Buchstab table lookup, the C(beta) curve,
+prime-power moduli that need Hensel-lifted roots, the window experiments
+and surveys at X = 2e4, and ``verify all``.
+
+The digests pin floating-point output of numpy 2.4 on x86-64.  A change
+that alters any of these outputs on purpose must re-record the digests and
+list the affected commands in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from sievekit import cli
+
+GOLDEN = [
+    ("empirical bv --X 200000 --k 0", 0,
+     "018e8150fbe0ccef6eacc6a8a621c90d177068f42004c1d078c13a2977882a72"),
+    ("empirical bv --X 200000 --k 1", 0,
+     "237a819e5877969c2d4193cc621de9759fc9b635672d46a0c25d1160ca0b3b4a"),
+    ("empirical bv --X 200000 --k 1 --weight bump", 0,
+     "8b8e27645027d0347a653aaf762ebd30ee77dbbf1fb899f0822749d9df336021"),
+    ("empirical wolke --X 200000 --k 0", 0,
+     "6244382a451a76007d25065f67a3e795d42ee2f6375ead5c5e2fd2cbfa5b2993"),
+    ("empirical wolke --X 200000 --k 1", 0,
+     "318deda3f6fcc5c129df09d54dd848c09f5127778fcd023a4f7206dc70c3815d"),
+    ("empirical wolke --X 200000 --k 1 --weight plateau", 0,
+     "3098460b0d96042278e5530ef5ea57e7ae651ae010971b8c332df75da9fc6007"),
+    ("functions eval gamma_theta 7/10", 0,
+     "ff89efa3cbb9ef48803701a62d8eb1fd121ed764f440cd1d6300bff3db1be824"),
+    ("functions eval gamma_theta 16/17", 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("functions table gamma_theta", 0,
+     "9c9d02b553b9d6650f85da693bcb9d33fed177f8ecf557a0952d75ddb179ef13"),
+    ("functions eval w 6.5", 0,
+     "9b41534d8d04a0d23e73416bfb20981b221ce2508c8791c177684395107baa3b"),
+    ("plot-data c-beta --beta-step 0.01", 0,
+     "1363dc19e9ccc95af6c1d9438705e9fcf3f5537dee95ab97f1e41dd622f764f5"),
+    ("empirical q-ell-u --X 20000 --ell 125", 0,
+     "0c2b5d6f25bc046033e6c3f89caa57cd7da72f7128d265c0a149e8ce1f179cd6"),
+    ("empirical a-d --X 20000 --ell 325 --d 6", 0,
+     "e81a9dc826409c640b8b754dd0ceb07396a097dd637ff0b4826d46485964b692"),
+    ("empirical q-ell --X 20000 --ell 1105 --oracle", 0,
+     "075e55541f94b9facbfb512cedcc08d343cac6cd0ce429f8b20141471711658f"),
+    ("empirical chebyshev --X 20000", 0,
+     "b7c165dbb6b8f312719d092e55e7d57538f49aa3add6943e0a9c3d37bfe3ee1d"),
+    ("empirical weighted --X 20000", 0,
+     "d7cc9dd57415c49183d2f7036f82343797303ad32e52daf08a333412bdbdcf31"),
+    ("empirical bt --X 20000", 0,
+     "35f3a1aedfaf2ffd058436878f604a81d69a35e71b2700315f18de2726554475"),
+    ("empirical almost-prime --X 20000", 0,
+     "f59a97cbd72f9e26577c116a1c5f18b9015679400504fb3ffd683ed9e015fd6b"),
+    ("empirical gpf --X 20000", 0,
+     "464d236363353a58d97a6add7dcc50921eddb6eea09e40b9d5883b4925f44a1f"),
+    ("empirical dartyge --X 20000", 0,
+     "1b0cf8c83b82729675b27b26182de19435b322131146333d55930dd89e476866"),
+    ("verify all", 0,
+     "2242d8e2072dde54193e80cef89542c1399ff954d7b0c0894e39e68f9bef96fb"),
+]
+
+
+@pytest.mark.parametrize("command,code,digest", GOLDEN,
+                         ids=[c for c, _, _ in GOLDEN])
+def test_cli_golden_output(command, code, digest, capsys):
+    assert cli.main(command.split()) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

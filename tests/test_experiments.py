@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from sievekit.experiments import (
     SHARP,
     A_d_count,
-    ExperimentConfig,
     OverflowGuardError,
     Q_ell,
     Q_ell_brute,
@@ -82,12 +81,6 @@ def test_weight_validation():
         SmoothWeight(mode="plateau", epsilon0=0.5)
 
 
-def test_experiment_config_guard():
-    ExperimentConfig(X=10 ** 6)
-    with pytest.raises(OverflowGuardError):
-        ExperimentConfig(X=10 ** 9 + 1)
-
-
 # ----------------------------------------------------------- congruence counts
 
 def test_q_ell_hand_examples(prime_table):
@@ -96,6 +89,10 @@ def test_q_ell_hand_examples(prime_table):
     assert Q_ell(10, 1, SHARP, prime_table) == 4.0
     assert Q_ell(10, 3, SHARP, prime_table) == 0.0
     assert Q_ell(2000, 13, SHARP, prime_table) == 41.0
+    # the 64-bit window guard rejects X before touching the table
+    Q_ell(10 ** 6, 5, SHARP, prime_table)
+    with pytest.raises(OverflowGuardError):
+        Q_ell(10 ** 9 + 1, 5, SHARP, prime_table)
 
 
 def test_q_ell_matches_brute_exactly(prime_table):

@@ -1,4 +1,4 @@
-"""Quadrature, root finding, and deterministic reductions."""
+"""Quadrature, root finding, and parabolic refinement."""
 
 import math
 
@@ -15,10 +15,7 @@ from sievekit.numerics import (
     bisect_root,
     integrate_checked,
     integrate_piecewise,
-    ordered_parallel_map,
-    pairwise_sum,
     parabolic_peak,
-    thread_count,
 )
 
 
@@ -102,47 +99,3 @@ def test_parabolic_peak_recovers_vertex():
 def test_parabolic_peak_degenerate_returns_middle():
     # collinear points have no curvature; fall back to the middle abscissa
     assert parabolic_peak([0.0, 1.0, 2.0], [0.0, 1.0, 2.0]) == 1.0
-
-
-def test_pairwise_sum_matches_fsum():
-    values = [((-1.0) ** i) / (i + 1.0) for i in range(10_000)]
-    assert pairwise_sum(values) == pytest.approx(math.fsum(values), abs=1e-12)
-
-
-def test_pairwise_sum_empty():
-    assert pairwise_sum([]) == 0.0
-
-
-def test_pairwise_sum_deterministic():
-    values = [math.sin(i) * 1e-3 for i in range(5000)]
-    assert pairwise_sum(values) == pairwise_sum(values)
-
-
-def test_thread_count_hint_wins(monkeypatch):
-    monkeypatch.setenv("SIEVEKIT_THREADS", "7")
-    assert thread_count(3) == 3
-
-
-def test_thread_count_env_fallback(monkeypatch):
-    monkeypatch.setenv("SIEVEKIT_THREADS", "5")
-    assert thread_count(None) == 5
-
-
-def test_thread_count_defaults_to_one(monkeypatch):
-    monkeypatch.delenv("SIEVEKIT_THREADS", raising=False)
-    assert thread_count(None) == 1
-    monkeypatch.setenv("SIEVEKIT_THREADS", "not-a-number")
-    assert thread_count(None) == 1
-    monkeypatch.setenv("SIEVEKIT_THREADS", "0")
-    assert thread_count(None) == 1
-
-
-def test_ordered_parallel_map_preserves_order():
-    items = list(range(200))
-    expected = [i * i for i in items]
-    assert ordered_parallel_map(lambda i: i * i, items, threads=1) == expected
-    assert ordered_parallel_map(lambda i: i * i, items, threads=4) == expected
-
-
-def test_ordered_parallel_map_empty():
-    assert ordered_parallel_map(lambda i: i, [], threads=4) == []

@@ -17,6 +17,7 @@ from sievekit.primes import (
     segmented_prime_count,
     sieve_primes,
     sqrt_minus_one,
+    sqrt_minus_one_lifts,
     x_flat,
 )
 
@@ -186,6 +187,22 @@ def test_roots_mod_brute(prime_table):
         if d == 1:
             brute = (0,)
         assert roots_mod(d, prime_table).roots == brute
+
+
+def test_sqrt_minus_one_lifts_every_level():
+    # The one Hensel lift behind roots_mod and the window strike sieve,
+    # checked at every level up to the roots_mod cap (the brute-force test
+    # above stops short of 5^4).
+    cap = 10 ** 12
+    for p in (5, 13, 17, 29):
+        levels = list(sqrt_minus_one_lifts(p, cap))
+        assert [q for q, _ in levels] == [p ** k
+                                          for k in range(1, len(levels) + 1)]
+        assert levels[-1][0] * p > cap
+        for q, r in levels:
+            assert (r * r + 1) % q == 0
+            assert r <= q / 2
+            assert {r, q - r} == set(roots_mod(q).roots)
 
 
 def test_congruence_root_set_validates():

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sievekit.sieve_functions import (
-    DEFAULT_STEP,
     E_MINUS_GAMMA,
     EIGHT_E_2GAMMA,
     Sigma2DomainError,
@@ -18,10 +17,8 @@ from sievekit.sieve_functions import (
     build_buchstab_table,
     build_sieve_tables,
     buchstab_w,
-    dump_tables_csv,
     eval_F,
     eval_f,
-    load_tables_csv,
     selberg_sigma2,
 )
 
@@ -157,16 +154,3 @@ def test_sigma2_branch():
         selberg_sigma2(0.0)
     with pytest.raises(Sigma2DomainError):
         selberg_sigma2(3.0)
-
-
-def test_csv_round_trip(tables, tmp_path):
-    path = str(tmp_path / "tables.csv")
-    dump_tables_csv(tables, path, stride=10)
-    loaded = load_tables_csv(path)
-    assert loaded.step == pytest.approx(10 * DEFAULT_STEP, abs=1e-9)
-    assert loaded.s_max == pytest.approx(tables.s_max, abs=1e-6)
-    for s in (4.2, 6.0, 9.5):
-        assert loaded.interp(s, loaded.F_values) == pytest.approx(
-            tables.interp(s, tables.F_values), abs=1e-6)
-        assert loaded.interp(s, loaded.f_values) == pytest.approx(
-            tables.interp(s, tables.f_values), abs=1e-6)

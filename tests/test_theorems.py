@@ -52,15 +52,22 @@ def test_gamma_values():
     assert gamma_theta(0.5) == (91.0 - 44.5) / 62.0
     assert gamma_theta(64.0 / 97.0) == pytest.approx(
         0.52061855670103097, abs=1e-15)
-    assert GAMMA_SPEC.value(Fraction(64, 97)) == Fraction(
-        91 * 97 - 89 * 64, 62 * 97)
 
 
 def test_gamma_domain():
     with pytest.raises(ValueError):
         gamma_theta(0.49)
     with pytest.raises(ValueError):
+        gamma_theta(0.4999)
+    with pytest.raises(ValueError):
+        gamma_theta(Fraction(16, 17))  # the right endpoint is excluded
+    with pytest.raises(ValueError):
         gamma_theta(0.95)  # beyond 16/17
+    # Fraction input is compared with the exact breakpoints and stays exact
+    at_bp = gamma_theta(Fraction(64, 97))
+    assert isinstance(at_bp, Fraction)
+    assert at_bp == Fraction(91 * 97 - 89 * 64, 62 * 97)
+    assert gamma_theta(Fraction(7, 10)) == Fraction(86 * 10 - 83 * 7, 600)
 
 
 def test_eta_theta():
@@ -194,12 +201,6 @@ def test_optimize_beta_curve(tables):
     changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
     assert changes == 1  # enters positive once, stays positive to the cap
     assert signs[-1]
-
-
-def test_optimize_beta_thread_invariance(tables):
-    a = optimize_beta(4, 1.0 / 12.0, tables, step=5e-3, threads=1)
-    b = optimize_beta(4, 1.0 / 12.0, tables, step=5e-3, threads=4)
-    assert a == b
 
 
 # ------------------------------------------------------------------- theorem 3
