@@ -6,6 +6,14 @@ solutions of a^2 + 1 = 0 (mod ell^k) are two arithmetic progressions, so
 striking those progressions (plus n odd for ell = 2) peels off every prime
 factor up to 2X.  What remains per n is either 1 or a single prime > 2X,
 because two such factors would exceed n^2 + 1.
+
+The sieve runs in two parts split at a cutoff ell_0.  Primes ell <= ell_0
+have long progressions and go through the per-ell generator
+iter_quadratic_strikes; primes above ell_0 hit few n each and go through
+strike_large_primes, which finds their roots in one vectorized call per
+chunk and scatters the hits with unbuffered ufunc.at updates.  The
+generator alone also serves the weighted sieve's own pass below X^beta and
+the oracle tests.
 """
 
 from __future__ import annotations
@@ -18,7 +26,8 @@ import numpy as np
 
 from .numerics import integrate_checked
 from .primes import (PrimeTable, is_prime, jacobi, multiplicative_suite, rho,
-                     roots_mod, sieve_primes, sqrt_minus_one_lifts, x_flat)
+                     roots_mod, sieve_primes, sqrt_minus_one_batch,
+                     sqrt_minus_one_lifts, x_flat)
 from .reports import ExperimentReport
 from .theorems import WeightedSieveParams, gamma_theta
 
@@ -305,7 +314,11 @@ def iter_quadratic_strikes(X: int, table: PrimeTable,
     """Yield (ell, k, ell^k, window indices) for every prime-power divisor.
 
     Covers every prime power ell^k dividing some n^2 + 1 for n in (X, 2X]
-    with ell <= ell_max (default 2X).  Index arrays address n = X + 1 + i.
+    with ell <= ell_max (default 2X), in ascending (ell, k) order.  Index
+    arrays address n = X + 1 + i; the smaller root's progression comes
+    first, each in ascending n.  The window consumers run this per-ell loop
+    up to their cutoff ell_0 and strike_large_primes above it; the weighted
+    sieve's pass below X^beta and the oracle tests run it alone.
     """
     _check_window(X)
     lo = X + 1
@@ -332,6 +345,63 @@ def iter_quadratic_strikes(X: int, table: PrimeTable,
                 break  # deeper levels strike subsets of this one
             idx = parts[0] if len(parts) == 1 else np.concatenate(parts)
             yield ell, k, q, idx
+
+
+STRIKE_CHUNK_HITS = 1 << 14   # bound on the hits scattered per chunk
+
+
+def strike_large_primes(X: int, table: PrimeTable, ell_min: int,
+                        rem: np.ndarray, visit) -> None:
+    """Strike every prime power ell^k with ell = 1 (mod 4) in (ell_min, 2X].
+
+    rem[i] holds n^2 + 1 for n = X + 1 + i with the prime powers up to
+    ell_min already divided out; each struck ell^k is divided out in place.
+    The primes go in ascending chunks of at most STRIKE_CHUNK_HITS level-1
+    hits (a single prime may exceed it), with the roots of each chunk from
+    one sqrt_minus_one_batch call.  For each chunk with a hit,
+    visit(ells, levels) is called: levels[k - 1] = (slot, idx) lists the n
+    hit by ell^k, as window indices idx with primes ells[slot].  Level 1 is
+    laid out as the generator yields it: ell-major, the smaller root's
+    progression first, each in ascending n.  Deeper levels keep the entries
+    of the level above that ell still divides.  Two primes can hit the same
+    n, so rem is updated with the unbuffered np.floor_divide.at.
+    """
+    _check_window(X)
+    if ell_min < 2:
+        raise ValueError(f"ell_min must be >= 2 (ell = 2 is not batched), "
+                         f"got {ell_min}")
+    lo = X + 1
+    size = X
+    primes = table.primes_between(ell_min, 2 * X)
+    start = 0
+    while start < len(primes):
+        # each progression mod ell hits at most X // ell + 1 n, and a
+        # chunk's first prime has the most hits
+        most = 2 * (X // int(primes[start]) + 1)
+        stop = start + max(1, STRIKE_CHUNK_HITS // most)
+        ells = primes[start:stop]
+        ells = ells[ells % 4 == 1]
+        start = stop
+        roots = sqrt_minus_one_batch(ells)
+        step = np.repeat(ells, 2)
+        first = np.empty(len(step), dtype=np.int64)
+        first[0::2] = (roots - lo) % ells
+        first[1::2] = (ells - roots - lo) % ells
+        count = np.maximum((size - first + step - 1) // step, 0)
+        prog = np.repeat(np.arange(len(step)), count)
+        offset = np.arange(len(prog)) - np.repeat(np.cumsum(count) - count,
+                                                   count)
+        idx = first[prog] + offset * step[prog]
+        slot = prog >> 1
+        levels = []
+        while len(idx):
+            ell_hit = ells[slot]
+            np.floor_divide.at(rem, idx, ell_hit)
+            levels.append((slot, idx))
+            deeper = rem[idx] % ell_hit == 0
+            slot, idx = slot[deeper], idx[deeper]
+        if levels:
+            visit(ells, levels)
 
 
 @dataclass(frozen=True)
@@ -361,12 +431,25 @@ def quadratic_window_stats(X: int, table: PrimeTable) -> QuadraticWindowStats:
     omega = np.zeros(X, dtype=np.int16)
     big_omega = np.zeros(X, dtype=np.int16)
     p_plus = np.ones(X, dtype=np.int64)
-    for ell, k, _q, idx in iter_quadratic_strikes(X, table):
+    cutoff = max(2, math.isqrt(2 * X))  # progressions above are short
+    for ell, k, _q, idx in iter_quadratic_strikes(X, table, ell_max=cutoff):
         rem[idx] //= ell
         big_omega[idx] += 1
         if k == 1:
             omega[idx] += 1
         p_plus[idx] = ell
+
+    one = np.int16(1)  # a Python int would take ufunc.at's slow path
+
+    def visit(ells, levels):
+        for _slot, idx in levels:
+            np.add.at(big_omega, idx, one)
+        slot, idx = levels[0]
+        np.add.at(omega, idx, one)
+        # primes ascend, so the largest one is the generator's last write
+        np.maximum.at(p_plus, idx, ells[slot])
+
+    strike_large_primes(X, table, cutoff, rem, visit)
     tail = rem > 1
     if not bool(np.all(rem[tail] > 2 * X)):
         raise ArithmeticError("leftover cofactor is not a prime beyond 2X")
@@ -425,11 +508,12 @@ def chebyshev_decomposition(X: int, vartheta: float, w: SmoothWeight,
     H_dual = 0.0
     H = [0.0, 0.0, 0.0, 0.0]
     model_sum = 0.0
-    for ell, k, q, idx in iter_quadratic_strikes(X, table):
-        rem[idx] //= ell
+
+    def fold(ell, k, q, sum_lam, sum_g):
+        nonlocal H_dual, model_sum
         log_ell = math.log(ell)
-        H_dual += log_ell * float(np.sum(lam_w[idx]))
-        s_g = log_ell * float(np.sum(g_p[idx]))
+        H_dual += log_ell * sum_lam
+        s_g = log_ell * sum_g
         if q <= flat:
             H[0] += s_g
             rho_q = 1 if ell == 2 else 2
@@ -440,6 +524,33 @@ def chebyshev_decomposition(X: int, vartheta: float, w: SmoothWeight,
             H[2] += s_g
         else:
             H[3] += s_g
+
+    cutoff = max(2, X // 3)
+    for ell, k, q, idx in iter_quadratic_strikes(X, table, ell_max=cutoff):
+        rem[idx] //= ell
+        fold(ell, k, q, float(np.sum(lam_w[idx])), float(np.sum(g_p[idx])))
+
+    def visit(ells, levels):
+        # Bit-identical to the per-ell loop: above X // 3 a progression mod
+        # ell^k has at most 3 of the X window entries, so level 1 has at
+        # most 6 hits per ell and deeper levels (ell^k > X) at most 2.  For
+        # 7 or fewer entries np.sum is a left fold from 0.0, which is what
+        # bincount does per slot in hit order, and level 1 is laid out in
+        # the generator's order; for 2 entries any order gives the same sum.
+        m = len(ells)
+        sums = [(np.bincount(slot, minlength=m).tolist(),
+                 np.bincount(slot, lam_w[idx], minlength=m).tolist(),
+                 np.bincount(slot, g_p[idx], minlength=m).tolist())
+                for slot, idx in levels]
+        for j, ell in enumerate(ells.tolist()):
+            q = ell
+            for k, (hits, sum_lam, sum_g) in enumerate(sums, 1):
+                if not hits[j]:
+                    break
+                fold(ell, k, q, sum_lam[j], sum_g[j])
+                q *= ell
+
+    strike_large_primes(X, table, cutoff, rem, visit)
     tail = rem > 1
     tail_logs = np.log(rem[tail].astype(np.float64))
     H_dual += float(np.sum(lam_w[tail] * tail_logs))
@@ -741,14 +852,16 @@ def dartyge_survey(X: int, u: float, table: PrimeTable) -> ExperimentReport:
     ratio = np.log(stats.p_plus_m[qual].astype(np.float64)) \
         / np.log(n_q.astype(np.float64))
 
+    # Omega(n): divide out the smallest prime factor until every entry is 1
     spf_all = table.smallest_prime_factor
     omega_n = np.zeros(len(n_q), dtype=np.int64)
-    for i, n_val in enumerate(map(int, n_q)):
-        count = 0
-        while n_val > 1:
-            n_val //= int(spf_all[n_val])
-            count += 1
-        omega_n[i] = count
+    rest = n_q.copy()
+    while True:
+        more = rest > 1
+        if not more.any():
+            break
+        omega_n += more
+        rest //= spf_all[rest]
 
     gt1 = ratio > 1.0
     few = omega_n <= 11

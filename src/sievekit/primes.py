@@ -11,6 +11,7 @@ import numpy as np
 
 MAX_SIEVE_LIMIT = 10 ** 9
 MAX_ROOTS_MODULUS = 10 ** 12
+MAX_INT64_SQUARE_ROOT = math.isqrt(2 ** 63 - 1)  # p^2 < 2^63 up to here
 
 # Witness set is deterministic for every n < 3.3e24, far past the 2^63 input cap.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -242,6 +243,45 @@ def sqrt_minus_one(p: int) -> int:
         c += 1
     r = pow(c, (p - 1) // 4, p)
     return min(r, p - r)
+
+
+def sqrt_minus_one_batch(primes: np.ndarray) -> np.ndarray:
+    """sqrt_minus_one(p) for every entry of an array of primes p = 1 (mod 4).
+
+    The scalar routine's c is the least non-residue of p, which is prime.
+    Candidates c = 2, 3, 5, ... are scanned with reciprocity, which for
+    p = 1 (mod 4) makes (c/p) = (p mod c / c) for odd c and (2/p) = -1
+    exactly when p = 5 (mod 8).  Then c^((p-1)/4) mod p is one vectorized
+    int64 square-and-multiply: residues stay below p, so every product stays
+    below p^2 < 2^63.  Each root is checked to satisfy r^2 = -1 (mod p).
+    """
+    p = np.asarray(primes, dtype=np.int64)
+    if np.any(p % 4 != 1):
+        raise ValueError("every p must be 1 mod 4")
+    if np.any(p > MAX_INT64_SQUARE_ROOT):
+        raise ValueError(f"every p must be <= {MAX_INT64_SQUARE_ROOT} "
+                         f"so p^2 fits in int64")
+    base = np.where(p % 8 == 5, np.int64(2), np.int64(0))
+    c = 3
+    while not base.all():
+        todo = np.flatnonzero(base == 0)
+        if c >= p[todo].min():
+            raise ValueError("no non-residue below p: input not prime")
+        non_residue = np.ones(c, dtype=bool)
+        non_residue[np.arange(c) ** 2 % c] = False
+        base[todo[non_residue[p[todo] % c]]] = c
+        c += 2
+        while not is_prime(c):
+            c += 2
+    e = (p - 1) // 4
+    r = np.ones(len(p), dtype=np.int64)
+    for _ in range(int(e.max(initial=0)).bit_length()):
+        r = np.where(e & 1, r * base % p, r)
+        base = base * base % p
+        e >>= 1
+    if np.any((r * r + 1) % p != 0):
+        raise ValueError("no square root of -1: input not prime")
+    return np.minimum(r, p - r)
 
 
 def sqrt_minus_one_lifts(p: int, max_modulus: int

@@ -6,7 +6,9 @@ covers the average-error experiments at k = 0 and 1 with sharp and smooth
 weights, gamma(theta) evaluation (exact Fraction input, the excluded right
 endpoint, the default table), a Buchstab table lookup, the C(beta) curve,
 prime-power moduli that need Hensel-lifted roots, the window experiments
-and surveys at X = 2e4, and ``verify all``.
+and surveys at X = 2e4, the Chebyshev decomposition and two surveys at
+X = 3e5 (large enough that the batched strike pass spans several chunks),
+and ``verify all``.
 
 The digests pin floating-point output of numpy 2.4 on x86-64.  A change
 that alters any of these outputs on purpose must re-record the digests and
@@ -60,6 +62,12 @@ GOLDEN = [
      "464d236363353a58d97a6add7dcc50921eddb6eea09e40b9d5883b4925f44a1f"),
     ("empirical dartyge --X 20000", 0,
      "1b0cf8c83b82729675b27b26182de19435b322131146333d55930dd89e476866"),
+    ("empirical chebyshev --X 300000", 0,
+     "5da0d7a0578616e2978f97391e5e2b102c6d0c762a770972be8f4d970ce0c552"),
+    ("empirical dartyge --X 300000", 0,
+     "f42974fe6b5a631ea4135d3318a43b5c9c04ae2250aa7135a386b076b2cd17b4"),
+    ("empirical almost-prime --X 300000", 0,
+     "94df54354d067ac9af890259ac18df3b90cb48479844b9ca276098dc8f5d7e71"),
     ("verify all", 0,
      "2242d8e2072dde54193e80cef89542c1399ff954d7b0c0894e39e68f9bef96fb"),
 ]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sievekit import experiments
 from sievekit.experiments import (
     SHARP,
     A_d_count,
@@ -27,6 +28,7 @@ from sievekit.experiments import (
     quadratic_window_stats,
     r_d_error,
     square_sieve_count,
+    strike_large_primes,
     weight_eval,
     weighted_sieve_experiment,
     weil_exhaustive,
@@ -34,7 +36,7 @@ from sievekit.experiments import (
     weil_sum_check,
     wolke_error_average,
 )
-from sievekit.primes import factorize, jacobi, rho
+from sievekit.primes import factorize, jacobi, multiplicative_suite, rho, x_flat
 from sievekit.theorems import WeightedSieveParams, solve_delta
 
 BUMP = SmoothWeight(mode="bump")
@@ -229,6 +231,200 @@ def test_window_stats_cached(prime_table):
     assert a is b
 
 
+# ------------------------------------- split strike pass against the generator
+
+ORACLE_WINDOWS = [1, 2, 3, 7, 300, 20000, 20001]
+SEVERAL_CHUNKS_X = 120_000   # the batched part of both consumers spans chunks
+
+
+def _generator_window_stats(X, table):
+    """Window stats from the per-ell generator alone, all the way to 2X."""
+    n = np.arange(X + 1, 2 * X + 1, dtype=np.int64)
+    rem = n * n + 1
+    omega = np.zeros(X, dtype=np.int16)
+    big_omega = np.zeros(X, dtype=np.int16)
+    p_plus = np.ones(X, dtype=np.int64)
+    for ell, k, _q, idx in iter_quadratic_strikes(X, table):
+        rem[idx] //= ell
+        big_omega[idx] += 1
+        if k == 1:
+            omega[idx] += 1
+        p_plus[idx] = ell
+    tail = rem > 1
+    omega[tail] += 1
+    big_omega[tail] += 1
+    p_plus[tail] = rem[tail]
+    spf_n = table.smallest_prime_factor[n].astype(np.int64)
+    return {"n": n, "spf_n": spf_n, "is_prime_n": spf_n == n,
+            "omega_m": omega, "big_omega_m": big_omega, "p_plus_m": p_plus}
+
+
+def _generator_chebyshev(X, vartheta, w, table, flat):
+    """The aggregates of chebyshev_decomposition folded per ell, ell <= 2X."""
+    lo = X + 1
+    nf = np.arange(lo, 2 * X + 1, dtype=np.int64).astype(np.float64)
+    lam_w = np.zeros(X, dtype=np.float64)
+    g_p = np.zeros(X, dtype=np.float64)
+    p_win = table.primes_between(X, 2 * X)
+    idx_p = (p_win - lo).astype(np.int64)
+    g_vals = w.values(p_win.astype(np.float64) / X)
+    lam_w[idx_p] = np.log(p_win.astype(np.float64)) * g_vals
+    g_p[idx_p] = g_vals
+    for p in map(int, table.primes_between(1, math.isqrt(2 * X))):
+        power = p * p
+        while power <= 2 * X:
+            if power > X:
+                lam_w[power - lo] = math.log(p) * weight_eval(w, power / X)
+            power *= p
+    H_direct = float(np.sum(lam_w * np.log(nf * nf + 1.0)))
+    level = X ** vartheta
+    rem = np.arange(lo, 2 * X + 1, dtype=np.int64) ** 2 + 1
+    H_dual = 0.0
+    H = [0.0, 0.0, 0.0, 0.0]
+    model_sum = 0.0
+    for ell, k, q, idx in iter_quadratic_strikes(X, table):
+        rem[idx] //= ell
+        log_ell = math.log(ell)
+        H_dual += log_ell * float(np.sum(lam_w[idx]))
+        s_g = log_ell * float(np.sum(g_p[idx]))
+        if q <= flat:
+            H[0] += s_g
+            rho_q = 1 if ell == 2 else 2
+            model_sum += log_ell * rho_q / (q - q // ell)
+        elif k == 1 and ell <= level:
+            H[1] += s_g
+        elif k == 1:
+            H[2] += s_g
+        else:
+            H[3] += s_g
+    tail = rem > 1
+    tail_logs = np.log(rem[tail].astype(np.float64))
+    H_dual += float(np.sum(lam_w[tail] * tail_logs))
+    H[2] += float(np.sum(g_p[tail] * tail_logs))
+    return {"H_direct": H_direct, "H_dual": H_dual, "H1": H[0], "H2": H[1],
+            "H3": H[2], "H4": H[3],
+            "H1_model": w.mass * X * model_sum / math.log(X)}
+
+
+def _record_chunks(monkeypatch):
+    """Per batched pass: [visited chunks, most level-1 hits of one prime]."""
+    passes = []
+    real = experiments.strike_large_primes
+
+    def recorded(X, table, ell_min, rem, visit):
+        passes.append([0, 0])
+
+        def visit_recorded(ells, levels):
+            passes[-1][0] += 1
+            passes[-1][1] = max(passes[-1][1],
+                                int(np.bincount(levels[0][0]).max()))
+            visit(ells, levels)
+        real(X, table, ell_min, rem, visit_recorded)
+    monkeypatch.setattr(experiments, "strike_large_primes", recorded)
+    return passes
+
+
+def _assert_stats_match_generator(X, table):
+    stats = quadratic_window_stats(X, table)
+    for name, want in _generator_window_stats(X, table).items():
+        got = getattr(stats, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("X", ORACLE_WINDOWS)
+def test_window_stats_match_generator(prime_table, monkeypatch, X):
+    monkeypatch.setattr(experiments, "_WINDOW_CACHE", {})
+    _assert_stats_match_generator(X, prime_table)
+
+
+def test_window_stats_match_generator_across_chunks(prime_table, monkeypatch):
+    monkeypatch.setattr(experiments, "_WINDOW_CACHE", {})
+    passes = _record_chunks(monkeypatch)
+    _assert_stats_match_generator(SEVERAL_CHUNKS_X, prime_table)
+    assert passes[0][0] >= 3
+    # a tiny chunk bound puts chunk boundaries inside a small window too
+    monkeypatch.setattr(experiments, "STRIKE_CHUNK_HITS", 64)
+    _assert_stats_match_generator(20001, prime_table)
+    assert passes[1][0] > 100
+
+
+def _assert_chebyshev_matches_generator(X, table, w=SHARP, flat=None):
+    rep = chebyshev_decomposition(X, 0.847, w, table)
+    want = _generator_chebyshev(X, 0.847, w, table,
+                                x_flat(X) if flat is None else flat)
+    for name, value in want.items():
+        # bitwise: the batched fold must add in the generator's order
+        assert rep.aggregates[name] == value, name
+
+
+@pytest.mark.parametrize("X", [20000, 20001])
+def test_chebyshev_matches_generator_fold(prime_table, X):
+    _assert_chebyshev_matches_generator(X, prime_table)
+
+
+@pytest.mark.parametrize("X", [2, 3, 5, 7, 21, 300])
+def test_chebyshev_matches_generator_fold_small(prime_table, monkeypatch, X):
+    # Below X ~ 700 no modulus lies under X^flat, so H1_model is 0 and the
+    # report divides by it.  A level of 2 puts ell = 2 in H1 and lets the
+    # folds be compared.  X = 5 and 21 have a level-2 hit above the cutoff
+    # X // 3 (5^2 | 7^2 + 1, 17^2 | 38^2 + 1).
+    monkeypatch.setattr(experiments, "x_flat", lambda X: 2.0)
+    _assert_chebyshev_matches_generator(X, prime_table, flat=2.0)
+
+
+def test_chebyshev_window_of_one_raises(prime_table):
+    with pytest.raises(ValueError):
+        chebyshev_decomposition(1, 0.847, SHARP, prime_table)
+
+
+def test_chebyshev_matches_generator_across_chunks(prime_table, monkeypatch):
+    passes = _record_chunks(monkeypatch)
+    _assert_chebyshev_matches_generator(SEVERAL_CHUNKS_X, prime_table)
+    monkeypatch.setattr(experiments, "STRIKE_CHUNK_HITS", 16)
+    _assert_chebyshev_matches_generator(20001, prime_table, PLATEAU)
+    assert passes[0][0] >= 2 and passes[1][0] > 100
+    # np.sum is a left fold only up to 7 entries; the cutoff keeps each
+    # prime's level-1 hits at or below 6, whatever the window holds
+    assert max(most for _, most in passes) == 6
+
+
+@pytest.mark.parametrize("X", [300, 2000])
+def test_strike_large_primes_levels_match_generator(prime_table, monkeypatch,
+                                                    X):
+    # every odd prime batched, so 5^3 | n^2 + 1 and deeper levels occur
+    monkeypatch.setattr(experiments, "STRIKE_CHUNK_HITS", 50)
+    n = np.arange(X + 1, 2 * X + 1, dtype=np.int64)
+    want_rem = n * n + 1
+    want = {}
+    for ell, k, _q, idx in iter_quadratic_strikes(X, prime_table):
+        want_rem[idx] //= ell
+        if ell > 2:
+            want[ell, k] = idx.tolist()
+    rem = n * n + 1
+    rem[n % 2 == 1] //= 2  # ell = 2 is never batched
+    got = {}
+
+    def visit(ells, levels):
+        for k, (slot, idx) in enumerate(levels, 1):
+            for ell, i in zip(ells[slot].tolist(), idx.tolist()):
+                got.setdefault((ell, k), []).append(i)
+    strike_large_primes(X, prime_table, 2, rem, visit)
+    assert np.array_equal(rem, want_rem)
+    assert max(k for _, k in got) >= 3
+    assert got.keys() == want.keys()
+    for key, idx in want.items():
+        # level 1 keeps the generator's order; deeper levels hold <= 2 n
+        assert (got[key] == idx) if key[1] == 1 \
+            else sorted(got[key]) == sorted(idx), key
+
+
+def test_strike_large_primes_rejects_batching_two(prime_table):
+    rem = np.arange(11, 21, dtype=np.int64) ** 2 + 1
+    with pytest.raises(ValueError):
+        strike_large_primes(10, prime_table, 1, rem, lambda ells, levels: None)
+
+
 # ------------------------------------------------------------ average errors
 
 def test_bv_error_average(prime_table):
@@ -399,6 +595,19 @@ def test_dartyge_survey_qualifier_rule(prime_table):
     brute = sum(1 for n in range(X + 1, 2 * X + 1)
                 if spf[n] > n ** (1.0 / u))
     assert rep.counters["qualifiers"] == brute
+
+
+def test_dartyge_omega_matches_per_n_loop(prime_table):
+    # u > 12 lets n with Omega(n) > 11 qualify (2^11 * 3, 2^13 in the window)
+    X, u = 4096, 20.0
+    rep = dartyge_survey(X, u, prime_table)
+    qualifiers = [n for n in range(X + 1, 2 * X + 1)
+                  if prime_table.smallest_prime_factor[n] > n ** (1.0 / u)]
+    omega = [multiplicative_suite(n, prime_table)["Omega"]
+             for n in qualifiers]
+    assert rep.counters["qualifiers"] == len(qualifiers)
+    assert rep.counters["omega_n_le_11"] == sum(o <= 11 for o in omega)
+    assert rep.counters["omega_n_le_11"] < len(qualifiers)
 
 
 # ----------------------------------------------------------------- weil sums

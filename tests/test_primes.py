@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sievekit.primes import (
+    MAX_INT64_SQUARE_ROOT,
     CongruenceRootSet,
     factorize,
     is_prime,
@@ -17,6 +19,7 @@ from sievekit.primes import (
     segmented_prime_count,
     sieve_primes,
     sqrt_minus_one,
+    sqrt_minus_one_batch,
     sqrt_minus_one_lifts,
     x_flat,
 )
@@ -169,6 +172,43 @@ def test_sqrt_minus_one_all_small(prime_table):
         r = sqrt_minus_one(p)
         assert (r * r + 1) % p == 0
         assert 0 < r <= (p - 1) // 2
+
+
+def test_sqrt_minus_one_batch_matches_scalar(prime_table):
+    p = prime_table.primes[prime_table.primes % 4 == 1]
+    assert p[-1] > 1_999_000
+    want = np.array([sqrt_minus_one(int(v)) for v in p], dtype=np.int64)
+    got = sqrt_minus_one_batch(p)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+def test_sqrt_minus_one_batch_at_the_int64_bound():
+    # the largest primes = 1 (mod 4) whose square fits in int64
+    top = []
+    p = MAX_INT64_SQUARE_ROOT - (MAX_INT64_SQUARE_ROOT - 1) % 4
+    while len(top) < 3:
+        if is_prime(p):
+            top.append(p)
+        p -= 4
+    assert list(sqrt_minus_one_batch(np.array(top))) \
+        == [sqrt_minus_one(v) for v in top]
+
+
+def test_sqrt_minus_one_batch_edges():
+    assert sqrt_minus_one_batch(np.array([], dtype=np.int64)).shape == (0,)
+    assert list(sqrt_minus_one_batch([5, 13, 17])) == [2, 5, 4]
+    with pytest.raises(ValueError):
+        sqrt_minus_one_batch(np.array([5, 7, 13]))
+    with pytest.raises(ValueError):
+        sqrt_minus_one_batch(np.array([3]))
+    over = MAX_INT64_SQUARE_ROOT + 1
+    over += (1 - over) % 4
+    assert over ** 2 >= 2 ** 63 and over % 4 == 1
+    with pytest.raises(ValueError):
+        sqrt_minus_one_batch(np.array([5, over]))
+    with pytest.raises(ValueError):
+        sqrt_minus_one_batch(np.array([25]))  # not prime: no non-residue
 
 
 def test_roots_mod_examples():
