@@ -456,7 +456,9 @@ def quadratic_window_stats(X: int, table: PrimeTable) -> QuadraticWindowStats:
     omega[tail] += 1
     big_omega[tail] += 1
     p_plus[tail] = rem[tail]
-    spf_n = table.smallest_prime_factor[n].astype(np.int64)
+    del rem, tail  # dead from here; freed before spf_n is allocated
+    # n is the range X + 1..2X, so a slice: a gather adds an int32 copy
+    spf_n = table.smallest_prime_factor[X + 1:2 * X + 1].astype(np.int64)
     stats = QuadraticWindowStats(X=X, n=n, spf_n=spf_n,
                                  is_prime_n=spf_n == n, omega_m=omega,
                                  big_omega_m=big_omega, p_plus_m=p_plus)
@@ -481,6 +483,11 @@ def chebyshev_decomposition(X: int, vartheta: float, w: SmoothWeight,
     _check_window(X, min(X_FACTOR_CAP, table.limit // 2))
     if not 0.5 < vartheta < 1.0:
         raise ValueError(f"vartheta must lie in (1/2, 1), got {vartheta}")
+    flat = x_flat(X)
+    if flat < 2.0:  # X < 650: the least prime power, 2, lies above X^flat
+        raise ValueError(
+            f"X = {X} has no prime power at or below X^flat = {flat:.6g}, "
+            f"so the H1 main-term model is 0")
     lo = X + 1
     nf = np.arange(lo, 2 * X + 1, dtype=np.int64).astype(np.float64)
 
@@ -502,7 +509,6 @@ def chebyshev_decomposition(X: int, vartheta: float, w: SmoothWeight,
 
     H_direct = float(np.sum(lam_w * np.log(nf * nf + 1.0)))
 
-    flat = x_flat(X)
     level = X ** vartheta
     rem = np.arange(lo, 2 * X + 1, dtype=np.int64) ** 2 + 1
     H_dual = 0.0
@@ -631,19 +637,30 @@ def weil_sum_check(p: int, q: int, m: int,
 def weil_prime_sums(p: int) -> np.ndarray:
     """S_p(a) = sum_x legendre(a x^2 - 1, p) for every residue a mod p.
 
-    Counting square roots as 1 + legendre(v) turns the x-sum into an O(p)
-    v-sum per a without assuming any character-sum evaluation.
+    Counting the square roots of v as 1 + leg(v) turns the x-sum into
+
+        S_p(a) = sum_v leg(a v - 1) + sum_v leg(v) leg(a v - 1).
+
+    For a = 0 both sums are over the constant leg(-1), so S_p(0) =
+    p leg(-1).  For a != 0, v -> u = a v is a bijection mod p and
+    leg(v) = leg(a) leg(u) by multiplicativity (leg(a^-1) = leg(a)), so
+
+        S_p(a) = A + leg(a) B,  A = sum_u leg(u - 1),
+                                B = sum_u leg(u) leg(u - 1).
+
+    Only that bijection and multiplicativity are used: A and B are summed
+    from the Legendre table, not taken from a character-sum evaluation, so
+    the whole row costs O(p) in exact int64 arithmetic.
     """
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError(f"need an odd prime, got {p}")
     leg = np.full(p, -1, dtype=np.int64)
     leg[0] = 0
-    leg[(np.arange(1, p, dtype=np.int64) ** 2) % p] = 1
-    weights = 1 + leg
-    v = np.arange(p, dtype=np.int64)
-    out = np.empty(p, dtype=np.int64)
-    for a in range(p):
-        out[a] = int(np.sum(weights * leg[(a * v - 1) % p]))
+    leg[(np.arange(1, p // 2 + 1, dtype=np.int64) ** 2) % p] = 1
+    A = int(leg.sum())  # u -> u - 1 permutes the residues too
+    B = int(leg[1:] @ leg[:-1])  # the u = 0 term has leg(0) = 0
+    out = A + B * leg
+    out[0] = p * leg[p - 1]
     return out
 
 
@@ -657,7 +674,6 @@ def weil_exhaustive(max_pq: int, direct_samples: int = 3) -> ExperimentReport:
     if not 15 <= max_pq <= 2 * 10 ** 5:
         raise ValueError(f"max_pq must be in [15, 2e5], got {max_pq}")
     primes = [int(v) for v in sieve_primes(max_pq // 3).primes if v % 2 == 1]
-    sums: dict[int, np.ndarray] = {}
     pairs = []
     for i, p in enumerate(primes):
         if p * p > max_pq:
@@ -666,23 +682,31 @@ def weil_exhaustive(max_pq: int, direct_samples: int = 3) -> ExperimentReport:
             if p * q > max_pq:
                 break
             pairs.append((p, q))
-            for v in (p, q):
-                if v not in sums:
-                    sums[v] = weil_prime_sums(v)
+    checked = pairs[:direct_samples] + pairs[-1:]
+    # One row at a time: all rows together hold sum(p) int64s, ~1.6 GB at
+    # max_pq = 2e5.  Each prime keeps max |S_p(a)| over a >= 1, whose exact
+    # integer products are the worst |S| of each pair; only the primes of
+    # the checked pairs keep their row.
+    kept = {v for pair in checked for v in pair}
+    peak: dict[int, int] = {}
+    sums: dict[int, np.ndarray] = {}
+    for v in dict.fromkeys(v for pair in pairs for v in pair):
+        row = weil_prime_sums(v)
+        peak[v] = int(np.max(np.abs(row[1:])))
+        if v in kept:
+            sums[v] = row
     violations = 0
     m_total = 0
     worst_ratio = 0.0
     for p, q in pairs:
-        worst = float(np.max(np.abs(sums[p][1:]))
-                      * np.max(np.abs(sums[q][1:])))
+        worst = float(peak[p] * peak[q])
         bound = math.sqrt(p * q)
-        if worst > bound:
-            violations += int(np.sum(
-                np.abs(np.outer(sums[p][1:], sums[q][1:])) > bound))
+        if worst > bound:  # rebuild the two rows to count the bad m
+            violations += int(np.sum(np.abs(np.outer(
+                weil_prime_sums(p)[1:], weil_prime_sums(q)[1:])) > bound))
         m_total += (p - 1) * (q - 1)
         worst_ratio = max(worst_ratio, worst / bound)
 
-    checked = pairs[:direct_samples] + pairs[-1:]
     direct_checks = 0
     for p, q in checked:
         pq = p * q
@@ -840,14 +864,24 @@ def gpf_survey(X: int, vartheta: float, table: PrimeTable) -> ExperimentReport:
         notes="report-grade positivity proxy for the greatest-factor bound")
 
 
+def _u_rough(stats: QuadraticWindowStats, u: float) -> np.ndarray:
+    """Mask of the window n with spf(n) > n^(1/u), in one float64 temporary.
+
+    The in-place power takes the same path as n ** (1 / u), and the int64
+    spf values (< 2^53) compare exactly against the float64 limits.
+    """
+    lim = stats.n.astype(np.float64)
+    lim **= 1.0 / u
+    return stats.spf_n > lim
+
+
 def dartyge_survey(X: int, u: float, table: PrimeTable) -> ExperimentReport:
     """Distribution of log P+(n^2+1)/log n over n with spf(n) > n^(1/u)."""
     _check_window(X, min(X_FACTOR_CAP, table.limit // 2))
     if u <= 1.0:
         raise ValueError(f"u must exceed 1, got {u}")
     stats = quadratic_window_stats(X, table)
-    qual = stats.spf_n.astype(np.float64) \
-        > stats.n.astype(np.float64) ** (1.0 / u)
+    qual = _u_rough(stats, u)
     n_q = stats.n[qual]
     ratio = np.log(stats.p_plus_m[qual].astype(np.float64)) \
         / np.log(n_q.astype(np.float64))

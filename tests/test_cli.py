@@ -149,6 +149,15 @@ def test_empirical_chebyshev_hard_invariant(capsys):
     assert data["residuals"]["identity_rel"] <= 1e-9
 
 
+@pytest.mark.parametrize("X", ["2", "21", "300"])
+def test_empirical_chebyshev_small_window_names_cause(capsys, X):
+    # below X = 650 no prime power lies at or below X^flat
+    code, out, err = run_cli(capsys, "empirical", "chebyshev", "--X", X)
+    assert code == 1
+    assert out == ""
+    assert "no prime power at or below X^flat" in err
+
+
 def test_empirical_weighted(capsys):
     code, out, _ = run_cli(capsys, "empirical", "weighted", "--X", "100000")
     assert code == 0

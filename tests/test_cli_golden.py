@@ -8,7 +8,8 @@ endpoint, the default table), a Buchstab table lookup, the C(beta) curve,
 prime-power moduli that need Hensel-lifted roots, the window experiments
 and surveys at X = 2e4, the Chebyshev decomposition and two surveys at
 X = 3e5 (large enough that the batched strike pass spans several chunks),
-and ``verify all``.
+the exhaustive Weil scan and one literal Jacobi-symbol sum, and
+``verify all``.
 
 The digests pin floating-point output of numpy 2.4 on x86-64.  A change
 that alters any of these outputs on purpose must re-record the digests and
@@ -68,6 +69,10 @@ GOLDEN = [
      "f42974fe6b5a631ea4135d3318a43b5c9c04ae2250aa7135a386b076b2cd17b4"),
     ("empirical almost-prime --X 300000", 0,
      "94df54354d067ac9af890259ac18df3b90cb48479844b9ca276098dc8f5d7e71"),
+    ("empirical weil --max-pq 5005", 0,
+     "e4b5585139b17857e2f0cafb7c886f816e03aa7b1d7d3685a51d3cfb25f09170"),
+    ("empirical weil --p 241 --q 409 --m 60898", 0,
+     "37791cf8c142260f295664917c3d4b41ad5c0d8bd41431bc0a655d86e4a40625"),
     ("verify all", 0,
      "2242d8e2072dde54193e80cef89542c1399ff954d7b0c0894e39e68f9bef96fb"),
 ]

@@ -36,7 +36,14 @@ from sievekit.experiments import (
     weil_sum_check,
     wolke_error_average,
 )
-from sievekit.primes import factorize, jacobi, multiplicative_suite, rho, x_flat
+from sievekit.primes import (
+    factorize,
+    jacobi,
+    multiplicative_suite,
+    rho,
+    sieve_primes,
+    x_flat,
+)
 from sievekit.theorems import WeightedSieveParams, solve_delta
 
 BUMP = SmoothWeight(mode="bump")
@@ -378,6 +385,17 @@ def test_chebyshev_window_of_one_raises(prime_table):
         chebyshev_decomposition(1, 0.847, SHARP, prime_table)
 
 
+@pytest.mark.parametrize("X", [2, 21, 300, 649])
+def test_chebyshev_without_model_modulus_raises(prime_table, X):
+    # H1_model sums over the prime powers q <= X^flat; the least, q = 2,
+    # first fits at X = 650, so below it the report would divide by 0
+    assert x_flat(X) < 2.0
+    with pytest.raises(ValueError, match="no prime power at or below"):
+        chebyshev_decomposition(X, 0.847, SHARP, prime_table)
+    rep = chebyshev_decomposition(650, 0.847, SHARP, prime_table)
+    assert rep.aggregates["H1_model"] > 0.0
+
+
 def test_chebyshev_matches_generator_across_chunks(prime_table, monkeypatch):
     passes = _record_chunks(monkeypatch)
     _assert_chebyshev_matches_generator(SEVERAL_CHUNKS_X, prime_table)
@@ -610,7 +628,74 @@ def test_dartyge_omega_matches_per_n_loop(prime_table):
     assert rep.counters["omega_n_le_11"] < len(qualifiers)
 
 
+@pytest.mark.parametrize("u", [2.0, 3.0, 11.2, 20.0])
+def test_u_rough_mask_matches_float_expression(prime_table, u):
+    # the one-temporary mask equals the three-temporary expression it
+    # replaced, including u = 2, where the power becomes a square root
+    for X in (2000, 10 ** 5):
+        stats = quadratic_window_stats(X, prime_table)
+        want = stats.spf_n.astype(np.float64) \
+            > stats.n.astype(np.float64) ** (1.0 / u)
+        assert np.array_equal(experiments._u_rough(stats, u), want)
+
+
 # ----------------------------------------------------------------- weil sums
+
+def _weil_prime_sums_loop(p):
+    """The O(p^2) scan: sum_v (1 + leg(v)) leg(a v - 1) for each a."""
+    leg = np.full(p, -1, dtype=np.int64)
+    leg[0] = 0
+    leg[(np.arange(1, p, dtype=np.int64) ** 2) % p] = 1
+    weights = 1 + leg
+    v = np.arange(p, dtype=np.int64)
+    out = np.empty(p, dtype=np.int64)
+    for a in range(p):
+        out[a] = int(np.sum(weights * leg[(a * v - 1) % p]))
+    return out
+
+
+def test_weil_prime_sums_match_quadratic_loop():
+    odd = [int(p) for p in sieve_primes(200).primes if p > 2]
+    for p in odd + [1009, 1999]:
+        got = weil_prime_sums(p)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _weil_prime_sums_loop(p)), p
+
+
+def test_weil_prime_sums_at_zero():
+    for p in (3, 5, 7, 11, 13, 1009, 1999):
+        assert weil_prime_sums(p)[0] == p * jacobi(p - 1, p)
+
+
+@pytest.mark.parametrize("p", [2, 9, 1])
+def test_weil_prime_sums_rejects_non_odd_prime(p):
+    with pytest.raises(ValueError):
+        weil_prime_sums(p)
+
+
+def test_weil_exhaustive_counts_violations(monkeypatch):
+    # Inflate S_p(a) for 3 <= a <= p - 2, residues that the literal checks
+    # at m = 1, 2, pq - 1 never read, so some pairs break the bound; the
+    # count must equal a per-m count over the coprime m < pq.
+    real = experiments.weil_prime_sums
+
+    def inflated(p):
+        row = real(p)
+        row[3:p - 1] *= 7
+        return row
+    monkeypatch.setattr(experiments, "weil_prime_sums", inflated)
+    rep = weil_exhaustive(400)
+    want, worst = 0, 0.0
+    for p, q in ((p, q) for p in (3, 5, 7, 11, 13, 17, 19)
+                 for q in sieve_primes(400).primes.tolist()
+                 if p < q and p * q <= 400):
+        sp, sq = inflated(p), inflated(q)
+        values = [abs(int(sp[m % p]) * int(sq[m % q])) for m in range(p * q)
+                  if math.gcd(m, p * q) == 1]
+        want += sum(v > math.sqrt(p * q) for v in values)
+        worst = max(worst, max(values) / math.sqrt(p * q))
+    assert rep.counters["violations"] == want > 0
+    assert rep.aggregates["worst_ratio"] == worst
 
 def test_weil_sum_check_small(prime_table):
     rep = weil_sum_check(3, 5, 1)
