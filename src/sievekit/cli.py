@@ -18,9 +18,9 @@ from . import experiments, theorems
 from .experiments import SmoothWeight
 from .primes import sieve_primes
 from .reports import ExperimentReport, markdown_summary, to_json
-from .sieve_functions import (BuchstabTable, SieveFunctionTable, buchstab_w,
-                              build_buchstab_table, build_sieve_tables,
-                              eval_F, eval_f, selberg_sigma2)
+from .sieve_functions import (buchstab_w, build_buchstab_table,
+                              build_sieve_tables, eval_F, eval_f,
+                              selberg_sigma2)
 
 FUNCTION_NAMES = ("F", "f", "w", "sigma2", "gamma_theta")
 EXPERIMENT_NAMES = ("q-ell", "q-ell-u", "phi", "phi-coprime", "a-d", "bv",
@@ -91,10 +91,6 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _function_tables(step: float) -> tuple[SieveFunctionTable, BuchstabTable]:
-    return build_sieve_tables(step=step), build_buchstab_table(step=step)
-
-
 # ---------------------------------------------------------------------------
 # verify
 
@@ -102,17 +98,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     reports = []
     targets = ("thm1", "thm2", "thm3") if args.target == "all" \
         else (args.target,)
+    ftable = None if args.target == "thm2" \
+        else build_sieve_tables(step=args.table_step)
+    wtable = build_buchstab_table(step=args.table_step) \
+        if "thm3" in targets else None
     for target in targets:
         if target == "thm2":
             reports.append(theorems.theorem2_integral(args.vartheta))
         elif target == "thm1":
-            ftable, _ = _function_tables(args.table_step)
             delta = min(theorems.solve_delta(), args.beta)
             params = theorems.WeightedSieveParams(
                 alpha=args.alpha, beta=args.beta, delta=delta, r=args.r)
             reports.append(theorems.compute_C(params, ftable))
         else:
-            ftable, wtable = _function_tables(args.table_step)
             reports.append(theorems.dartyge_margin(args.u, args.theta0,
                                                    ftable, wtable))
     payload = reports[0] if len(reports) == 1 else reports
@@ -123,18 +121,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # functions
 
-def _function_value(name: str, x: float | Fraction,
-                    step: float) -> float:
+def _function_evaluator(name: str, step: float):
+    """Return x -> float value of the named function; marches tables once."""
     if name == "sigma2":
-        return selberg_sigma2(float(x))
+        return lambda x: selberg_sigma2(float(x))
     if name == "gamma_theta":
-        return float(theorems.gamma_theta(x))
-    ftable, wtable = _function_tables(step)
-    if name == "F":
-        return eval_F(float(x), ftable)
-    if name == "f":
-        return eval_f(float(x), ftable)
-    return buchstab_w(float(x), wtable)
+        return lambda x: float(theorems.gamma_theta(x))
+    ftable = build_sieve_tables(step=step)
+    wtable = build_buchstab_table(step=step)
+    return {"F": lambda x: eval_F(float(x), ftable),
+            "f": lambda x: eval_f(float(x), ftable),
+            "w": lambda x: buchstab_w(float(x), wtable)}[name]
 
 
 _TABLE_RANGES = {"F": (1.0, 12.0), "f": (0.5, 12.0), "w": (1.0, 12.0),
@@ -144,7 +141,7 @@ _TABLE_RANGES = {"F": (1.0, 12.0), "f": (0.5, 12.0), "w": (1.0, 12.0),
 def _cmd_functions(args: argparse.Namespace) -> int:
     if args.action == "eval":
         x = Fraction(args.x) if args.name == "gamma_theta" else float(args.x)
-        value = _function_value(args.name, x, args.table_step)
+        value = _function_evaluator(args.name, args.table_step)(x)
         _emit(f"{value:.17g}\n", args.out)
         return 0
     lo_default, hi_default = _TABLE_RANGES[args.name]
@@ -153,11 +150,11 @@ def _cmd_functions(args: argparse.Namespace) -> int:
     if not (hi > lo and args.step > 0):
         raise ValueError(f"bad table range [{lo}, {hi}] at step {args.step}")
     count = int(math.floor((hi - lo) / args.step + 1e-9)) + 1
+    evaluate = _function_evaluator(args.name, args.table_step)
     lines = ["x,value"]
     for i in range(count):
         x = lo + i * args.step
-        value = _function_value(args.name, x, args.table_step)
-        lines.append(f"{x:.6f},{value:.17g}")
+        lines.append(f"{x:.6f},{evaluate(x):.17g}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -263,7 +260,7 @@ def _cmd_empirical(args: argparse.Namespace) -> int:
 # plot-data and report
 
 def _cmd_plot_data(args: argparse.Namespace) -> int:
-    ftable, _ = _function_tables(args.table_step)
+    ftable = build_sieve_tables(step=args.table_step)
     beta_star, _c_star, curve = theorems.optimize_beta(
         args.r, args.alpha, ftable, step=args.beta_step)
     lines = ["beta,C,is_max"]
@@ -278,12 +275,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for path in args.files:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: top level is not a JSON object")
         if data.get("schema") != 1:
             raise ValueError(f"{path}: missing or unsupported schema tag")
-        if "reports" in data:
-            payloads.extend(data["reports"])
-        else:
-            payloads.append({k: v for k, v in data.items() if k != "schema"})
+        entries = data["reports"] if "reports" in data else [data]
+        if not (isinstance(entries, list) and all(
+                isinstance(e, dict) and "name" in e for e in entries)):
+            raise ValueError(f"{path}: every report needs a 'name' key")
+        payloads.extend(entries)
     _emit(markdown_summary(payloads), args.out)
     return 0
 

@@ -612,8 +612,7 @@ def bt_exception_count(X: int, theta: float, w: SmoothWeight,
 # ---------------------------------------------------------------------------
 # character-sum and square-sieve checks
 
-def weil_sum_check(p: int, q: int, m: int,
-                   table: PrimeTable | None = None) -> ExperimentReport:
+def weil_sum_check(p: int, q: int, m: int) -> ExperimentReport:
     """Complete Jacobi-symbol sum sum_l (m l^2 - 1 | pq) against sqrt(pq)."""
     if p == q:
         raise ValueError("p and q must be distinct")
@@ -664,12 +663,12 @@ def weil_prime_sums(p: int) -> np.ndarray:
     return out
 
 
-def weil_exhaustive(max_pq: int, direct_samples: int = 3) -> ExperimentReport:
+def weil_exhaustive(max_pq: int) -> ExperimentReport:
     """Check |S| <= sqrt(pq) for every pair p < q with pq <= max_pq, all m.
 
     The complete sum over l mod pq splits through the residue pairing into
-    S_p(m mod p) * S_q(m mod q) exactly; the first and last pairs are also
-    cross-checked against the literal Jacobi-symbol sum.
+    S_p(m mod p) * S_q(m mod q) exactly; the first three pairs and the last
+    are also cross-checked against the literal Jacobi-symbol sum.
     """
     if not 15 <= max_pq <= 2 * 10 ** 5:
         raise ValueError(f"max_pq must be in [15, 2e5], got {max_pq}")
@@ -682,7 +681,7 @@ def weil_exhaustive(max_pq: int, direct_samples: int = 3) -> ExperimentReport:
             if p * q > max_pq:
                 break
             pairs.append((p, q))
-    checked = pairs[:direct_samples] + pairs[-1:]
+    checked = pairs[:3] + pairs[-1:]
     # One row at a time: all rows together hold sum(p) int64s, ~1.6 GB at
     # max_pq = 2e5.  Each prime keeps max |S_p(a)| over a >= 1, whose exact
     # integer products are the worst |S| of each pair; only the primes of

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sievekit import cli
 from sievekit.cli import main
 
 
@@ -113,6 +114,36 @@ def test_functions_table_bad_range(capsys):
                            "--min", "3", "--max", "2")
     assert code == 1
     assert "bad table range" in err
+
+
+TABLE_BUILDS = [  # (F/f builds, w builds) per command
+    ("functions table F --min 5 --max 5.5 --step 0.1", (1, 1)),
+    ("verify all", (1, 1)),
+    ("verify thm1", (1, 0)),
+    ("plot-data c-beta --beta-step 0.05", (1, 0)),
+    ("verify thm2", (0, 0)),
+    ("functions eval sigma2 1", (0, 0)),
+]
+
+
+@pytest.mark.parametrize("argv,builds", TABLE_BUILDS,
+                         ids=[a for a, _ in TABLE_BUILDS])
+def test_each_table_is_marched_at_most_once(argv, builds, capsys,
+                                            monkeypatch):
+    calls = {"F/f": 0, "w": 0}
+
+    def counting(key, build):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return build(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(cli, "build_sieve_tables",
+                        counting("F/f", cli.build_sieve_tables))
+    monkeypatch.setattr(cli, "build_buchstab_table",
+                        counting("w", cli.build_buchstab_table))
+    code, out, _ = run_cli(capsys, *argv.split(), "--table-step", "0.01")
+    assert code == 0 and out
+    assert (calls["F/f"], calls["w"]) == builds
 
 
 # ----------------------------------------------------------------- empirical
@@ -257,6 +288,22 @@ def test_report_rejects_unversioned_json(capsys, tmp_path):
     code, _, err = run_cli(capsys, "report", str(path))
     assert code == 1
     assert "schema" in err
+
+
+@pytest.mark.parametrize("text,cause", [
+    ("[1, 2]", "top level is not a JSON object"),
+    ('"schema"', "top level is not a JSON object"),
+    ('{"schema": 1, "margin": 0.5, "passed": true}', "needs a 'name' key"),
+    ('{"schema": 1, "reports": [{"schema": 1}]}', "needs a 'name' key"),
+    ('{"schema": 1, "reports": 7}', "needs a 'name' key"),
+])
+def test_report_malformed_json_names_file_and_cause(capsys, tmp_path, text,
+                                                     cause):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "report", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}: ") and cause in err
 
 
 def test_no_subcommand_is_usage_error(capsys):

@@ -4,12 +4,13 @@ Each command runs in-process through ``cli.main`` and must reproduce the
 recorded exit code and the sha256 of its stdout byte for byte.  The list
 covers the average-error experiments at k = 0 and 1 with sharp and smooth
 weights, gamma(theta) evaluation (exact Fraction input, the excluded right
-endpoint, the default table), a Buchstab table lookup, the C(beta) curve,
-prime-power moduli that need Hensel-lifted roots, the window experiments
-and surveys at X = 2e4, the Chebyshev decomposition and two surveys at
-X = 3e5 (large enough that the batched strike pass spans several chunks),
-the exhaustive Weil scan and one literal Jacobi-symbol sum, and
-``verify all``.
+endpoint, the default table), a 111-row F table, a w table across the
+u = 3 switch from the closed form to the march, a Buchstab table lookup,
+the C(beta) curve, prime-power moduli that need Hensel-lifted roots, the
+window experiments and surveys at X = 2e4, the Chebyshev decomposition and
+two surveys at X = 3e5 (large enough that the batched strike pass spans
+several chunks), the exhaustive Weil scan and one literal Jacobi-symbol
+sum, and ``verify all``.
 
 The digests pin floating-point output of numpy 2.4 on x86-64.  A change
 that alters any of these outputs on purpose must re-record the digests and
@@ -41,6 +42,10 @@ GOLDEN = [
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("functions table gamma_theta", 0,
      "9c9d02b553b9d6650f85da693bcb9d33fed177f8ecf557a0952d75ddb179ef13"),
+    ("functions table F --max 12 --step 0.1", 0,
+     "4c555c550b5484381efacc4b602eeabddbe5b98e7eede4e5b98947eeccf7c1dd"),
+    ("functions table w --min 2.5 --max 3.5 --step 0.01", 0,
+     "b33f0d310f19106c77f882cb4b482303b167d8c98bb4bc3bd10b230f6b420f07"),
     ("functions eval w 6.5", 0,
      "9b41534d8d04a0d23e73416bfb20981b221ce2508c8791c177684395107baa3b"),
     ("plot-data c-beta --beta-step 0.01", 0,
