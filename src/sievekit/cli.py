@@ -270,19 +270,45 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
     return 0
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _report_entry_problem(entry) -> str | None:
+    """Why markdown_summary cannot render this report dict, or None."""
+    if not (isinstance(entry, dict) and "name" in entry):
+        return "every report needs a 'name' key"
+    if "margin" in entry and not (_is_number(entry["margin"])
+                                  and isinstance(entry.get("passed"), bool)):
+        return "a theorem report needs a numeric 'margin' and a bool 'passed'"
+    for key in ("counters", "aggregates", "residuals"):
+        if not isinstance(entry.get(key, {}), dict):
+            return f"{key!r} is not a JSON object"
+    for key in ("aggregates", "residuals"):
+        if not all(_is_number(v) for v in entry.get(key, {}).values()):
+            return f"every {key!r} value must be a number"
+    return None
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     payloads = []
     for path in args.files:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+            try:
+                data = json.load(handle)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ValueError(f"{path}: top level is not a JSON object")
         if data.get("schema") != 1:
             raise ValueError(f"{path}: missing or unsupported schema tag")
         entries = data["reports"] if "reports" in data else [data]
-        if not (isinstance(entries, list) and all(
-                isinstance(e, dict) and "name" in e for e in entries)):
+        if not isinstance(entries, list):
             raise ValueError(f"{path}: every report needs a 'name' key")
+        for entry in entries:
+            problem = _report_entry_problem(entry)
+            if problem:
+                raise ValueError(f"{path}: {problem}")
         payloads.extend(entries)
     _emit(markdown_summary(payloads), args.out)
     return 0

@@ -7,9 +7,19 @@ F and f solve the coupled system
     (s F(s))' = f(s - 1),  (s f(s))' = F(s - 1)   for s > 2,
 
 and w solves u w(u) = 1 on [1, 2] with (u w(u))' = w(u - 1) beyond.  Tables
-march the delay equations on a uniform grid whose spacing divides 1, so the
+march the delay equations on a uniform grid whose spacing h divides 1, so the
 lag-1 lookups land exactly on earlier grid nodes and the composite trapezoid
 rule applies without interpolation error.
+
+The march runs one unit block at a time.  With lag = 1/h, node m + 1 of the
+block [k, k + 1) reads only nodes m - lag and m + 1 - lag, both <= k * lag,
+which earlier blocks already hold.  So a block's trapezoid increments are one
+vector expression and its running sum of x * value(x) is one ``np.cumsum``
+seeded with the value carried in.  ``np.cumsum`` on float64 is a sequential
+left fold, the same additions in the same order as a per-node ``y += ...``
+loop, so the tables are bit-identical to that loop's; a 1e-4 table builds in
+milliseconds.  Steps must lie in [MIN_STEP, MAX_STEP]: below 1e-6 a table
+over [0, 14] would need over 14 million nodes per array.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ E_MINUS_GAMMA = math.exp(-EULER_GAMMA)
 EIGHT_E_2GAMMA = 8.0 * math.exp(2.0 * EULER_GAMMA)
 
 DEFAULT_STEP = 1e-4
+MIN_STEP = 1e-6
 MAX_STEP = 0.01
 
 
@@ -43,8 +54,9 @@ class Sigma2DomainError(ValueError):
 
 def _grid_step_nodes(step: float, top: float) -> tuple[int, int]:
     """Validate step, return (lag nodes per unit, node count for [0, top])."""
-    if not 0.0 < step <= MAX_STEP:
-        raise ValueError(f"step must be in (0, {MAX_STEP}], got {step}")
+    if not MIN_STEP <= step <= MAX_STEP:
+        raise ValueError(
+            f"step must be in [{MIN_STEP:g}, {MAX_STEP:g}], got {step}")
     lag = round(1.0 / step)
     if abs(lag * step - 1.0) > 1e-12:
         raise ValueError(f"1/step must be an integer, got step={step}")
@@ -79,6 +91,30 @@ class BuchstabTable:
     w_values: np.ndarray
 
 
+def _march_block(values: np.ndarray, y: float, i: int, j: int, lag: int,
+                 half: float, grid: np.ndarray) -> tuple[np.ndarray, float]:
+    """Trapezoid-march y = x * value(x) from node i to node j <= i + lag.
+
+    Node m + 1 adds half * (values[m - lag] + values[m + 1 - lag]); every
+    read is at index <= i.  Returns the values at nodes i + 1..j and the
+    final y.
+    """
+    inc = half * (values[i - lag:j - lag] + values[i + 1 - lag:j + 1 - lag])
+    ys = np.cumsum(np.concatenate(([y], inc)))
+    return ys[1:] / grid[i + 1:j + 1], float(ys[-1])
+
+
+def _check_sieve_march(F: np.ndarray, f: np.ndarray, lo: int,
+                       slack: float) -> None:
+    if np.any(np.diff(F[lo:]) > slack) or np.any(np.diff(f[lo:]) < -slack):
+        raise TableBuildError("marched F/f lost monotonicity beyond s=2")
+    gap = F[lo:] - f[lo:]
+    if np.any(gap < -slack) or np.any(np.diff(gap) > slack):
+        raise TableBuildError("marched F-f gap is not non-increasing")
+    if np.any(F[lo:] < 1.0 - slack) or np.any(f[lo:] > 1.0 + slack):
+        raise TableBuildError("marched values left the [f <= 1 <= F] band")
+
+
 def build_sieve_tables(step: float = DEFAULT_STEP,
                        s_max: float = 14.0) -> SieveFunctionTable:
     """March the (F, f) delay system over [0, s_max] on a uniform grid."""
@@ -92,27 +128,18 @@ def build_sieve_tables(step: float = DEFAULT_STEP,
     F[1:] = TWO_E_GAMMA / s[1:]
 
     # y1 = s F(s), y2 = s f(s); y2 marches from s=2, y1 joins at s=3.
-    # The lag-1 coupling runs both ways, so the marches must interleave:
-    # each one only ever reads values the other has already produced.
+    # The lag-1 coupling runs both ways, so the marches interleave block by
+    # block: each block reads only what earlier blocks of the other produced.
     i2, i3 = 2 * lag, 3 * lag
     y1, y2 = TWO_E_GAMMA, 0.0
     half = 0.5 * step
-    for i in range(i2, n - 1):
-        y2 += half * (F[i - lag] + F[i + 1 - lag])
-        f[i + 1] = y2 / s[i + 1]
+    for i in range(i2, n - 1, lag):
+        j = min(i + lag, n - 1)
+        f[i + 1:j + 1], y2 = _march_block(F, y2, i, j, lag, half, s)
         if i >= i3:
-            y1 += half * (f[i - lag] + f[i + 1 - lag])
-            F[i + 1] = y1 / s[i + 1]
+            F[i + 1:j + 1], y1 = _march_block(f, y1, i, j, lag, half, s)
 
-    slack = 10.0 * step * step
-    lo = i2
-    if np.any(np.diff(F[lo:]) > slack) or np.any(np.diff(f[lo:]) < -slack):
-        raise TableBuildError("marched F/f lost monotonicity beyond s=2")
-    gap = F[lo:] - f[lo:]
-    if np.any(gap < -slack) or np.any(np.diff(gap) > slack):
-        raise TableBuildError("marched F-f gap is not non-increasing")
-    if np.any(F[lo:] < 1.0 - slack) or np.any(f[lo:] > 1.0 + slack):
-        raise TableBuildError("marched values left the [f <= 1 <= F] band")
+    _check_sieve_march(F, f, i2, 10.0 * step * step)
     return SieveFunctionTable(step=step, s_max=float(s[-1]), s_grid=s,
                               F_values=F, f_values=f)
 
@@ -129,9 +156,9 @@ def build_buchstab_table(step: float = DEFAULT_STEP,
 
     y = 1.0  # u w(u) at the march point
     half = 0.5 * step
-    for i in range(2 * lag, n - 1):
-        y += half * (w[i - lag] + w[i + 1 - lag])
-        w[i + 1] = y / u[i + 1]
+    for i in range(2 * lag, n - 1, lag):
+        j = min(i + lag, n - 1)
+        w[i + 1:j + 1], y = _march_block(w, y, i, j, lag, half, u)
 
     slack = 10.0 * step * step
     band = w[2 * lag:]

@@ -1,7 +1,7 @@
 """Session-scoped fixtures shared across the suite.
 
-The prime table and the marched function tables are the two expensive
-objects; every test module reuses the same instances.
+Every test module reuses the same prime table, the most expensive shared
+object, and the same marched function tables at the default step.
 """
 
 import pytest

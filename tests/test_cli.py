@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sievekit import cli
+from sievekit import cli, sieve_functions
 from sievekit.cli import main
 
 
@@ -144,6 +144,19 @@ def test_each_table_is_marched_at_most_once(argv, builds, capsys,
     code, out, _ = run_cli(capsys, *argv.split(), "--table-step", "0.01")
     assert code == 0 and out
     assert (calls["F/f"], calls["w"]) == builds
+
+
+@pytest.mark.parametrize("argv", [
+    "functions eval F 6 --table-step 1e-8",
+    "verify all --table-step 5e-7",
+    "plot-data c-beta --table-step 1e-8",
+])
+def test_table_step_below_floor_exits_1(argv, capsys, monkeypatch):
+    # the floor check runs before numpy is touched: no table is allocated
+    monkeypatch.setattr(sieve_functions, "np", None)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 1 and out == ""
+    assert err.startswith("error: step must be in [1e-06, 0.01], got ")
 
 
 # ----------------------------------------------------------------- empirical
@@ -296,6 +309,19 @@ def test_report_rejects_unversioned_json(capsys, tmp_path):
     ('{"schema": 1, "margin": 0.5, "passed": true}', "needs a 'name' key"),
     ('{"schema": 1, "reports": [{"schema": 1}]}', "needs a 'name' key"),
     ('{"schema": 1, "reports": 7}', "needs a 'name' key"),
+    ('{"schema": 1, "name": "t", "margin": 0.5}',
+     "needs a numeric 'margin' and a bool 'passed'"),
+    ('{"schema": 1, "name": "e", "counters": 5}',
+     "'counters' is not a JSON object"),
+    ("not json", "Expecting value"),
+    ('{"schema": 1, "reports": [{"name": "t", "margin": "0.5", '
+     '"passed": true}]}', "needs a numeric 'margin' and a bool 'passed'"),
+    ('{"schema": 1, "name": "t", "margin": 0.5, "passed": 1}',
+     "needs a numeric 'margin' and a bool 'passed'"),
+    ('{"schema": 1, "name": "e", "aggregates": [1]}',
+     "'aggregates' is not a JSON object"),
+    ('{"schema": 1, "name": "e", "residuals": {"r": null}}',
+     "every 'residuals' value must be a number"),
 ])
 def test_report_malformed_json_names_file_and_cause(capsys, tmp_path, text,
                                                      cause):

@@ -5,7 +5,9 @@ recorded exit code and the sha256 of its stdout byte for byte.  The list
 covers the average-error experiments at k = 0 and 1 with sharp and smooth
 weights, gamma(theta) evaluation (exact Fraction input, the excluded right
 endpoint, the default table), a 111-row F table, a w table across the
-u = 3 switch from the closed form to the march, a Buchstab table lookup,
+u = 3 switch from the closed form to the march, w and f tables and the
+thm3 certificate marched at steps other than the default (coarser and
+finer), a Buchstab table lookup,
 the C(beta) curve, prime-power moduli that need Hensel-lifted roots, the
 window experiments and surveys at X = 2e4, the Chebyshev decomposition and
 two surveys at X = 3e5 (large enough that the batched strike pass spans
@@ -46,6 +48,12 @@ GOLDEN = [
      "4c555c550b5484381efacc4b602eeabddbe5b98e7eede4e5b98947eeccf7c1dd"),
     ("functions table w --min 2.5 --max 3.5 --step 0.01", 0,
      "b33f0d310f19106c77f882cb4b482303b167d8c98bb4bc3bd10b230f6b420f07"),
+    ("functions table w --min 3 --max 14 --step 0.25 --table-step 0.005", 0,
+     "adaba06cbbcc8e2915f4d5ddc31740f38fe1276f4c44cc35c4af66058bab4022"),
+    ("functions table f --min 4 --max 14 --step 0.5 --table-step 0.001", 0,
+     "f7e28c0303d9a8d2ffc551a52a276b8fcd369bb17e09de63ce1ec05344617fbc"),
+    ("verify thm3 --u 11.5 --table-step 5e-5", 0,
+     "32d2bc1e20b4aceaf973836aecb000abdcf8227433bff3b91a212939ff75e44f"),
     ("functions eval w 6.5", 0,
      "9b41534d8d04a0d23e73416bfb20981b221ce2508c8791c177684395107baa3b"),
     ("plot-data c-beta --beta-step 0.01", 0,

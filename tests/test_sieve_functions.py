@@ -1,5 +1,6 @@
 """Marched linear-sieve tables against their closed forms and invariants."""
 
+import functools
 import math
 import random
 
@@ -8,12 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sievekit import sieve_functions
 from sievekit.sieve_functions import (
     E_MINUS_GAMMA,
     EIGHT_E_2GAMMA,
+    MIN_STEP,
     Sigma2DomainError,
+    TableBuildError,
     TableDomainError,
     TWO_E_GAMMA,
+    _check_sieve_march,
+    _grid_step_nodes,
     build_buchstab_table,
     build_sieve_tables,
     buchstab_w,
@@ -112,6 +118,157 @@ def test_build_rejects_bad_grid():
         build_sieve_tables(step=3e-4)  # 1/step is not an integer
     with pytest.raises(ValueError):
         build_sieve_tables(s_max=4.0)
+
+
+def test_build_rejects_step_below_floor(monkeypatch):
+    # the floor is checked before numpy is touched, so nothing is allocated
+    monkeypatch.setattr(sieve_functions, "np", None)
+    for build in (build_sieve_tables, build_buchstab_table):
+        with pytest.raises(ValueError, match=r"must be in \[1e-06, 0.01\]"):
+            build(step=5e-7)
+    assert _grid_step_nodes(MIN_STEP, 14.0) == (10 ** 6, 14 * 10 ** 6 + 1)
+
+
+# ------------------------------------------- block march vs per-node oracle
+
+def _loop_sieve_tables(step, s_max):
+    """Per-node (F, f) march, one trapezoid step at a time."""
+    lag, n = round(1.0 / step), round(s_max / step) + 1
+    s = np.arange(n, dtype=np.float64) * step
+    F = np.empty(n)
+    f = np.zeros(n)
+    F[0] = np.nan
+    F[1:] = TWO_E_GAMMA / s[1:]
+    i2, i3 = 2 * lag, 3 * lag
+    y1, y2 = TWO_E_GAMMA, 0.0
+    half = 0.5 * step
+    for i in range(i2, n - 1):
+        y2 += half * (F[i - lag] + F[i + 1 - lag])
+        f[i + 1] = y2 / s[i + 1]
+        if i >= i3:
+            y1 += half * (f[i - lag] + f[i + 1 - lag])
+            F[i + 1] = y1 / s[i + 1]
+    return F, f
+
+
+def _loop_buchstab(step, u_max):
+    """Per-node w march, one trapezoid step at a time."""
+    lag, n = round(1.0 / step), round(u_max / step) + 1
+    u = np.arange(n, dtype=np.float64) * step
+    w = np.zeros(n)
+    w[lag: 2 * lag + 1] = 1.0 / u[lag: 2 * lag + 1]
+    y = 1.0
+    half = 0.5 * step
+    for i in range(2 * lag, n - 1):
+        y += half * (w[i - lag] + w[i + 1 - lag])
+        w[i + 1] = y / u[i + 1]
+    return w
+
+
+# Each node reads only earlier nodes, so a march to a lower top is the
+# prefix of the march to 14; one oracle run per step serves every top.
+_sieve_oracle = functools.lru_cache(maxsize=None)(
+    lambda step: _loop_sieve_tables(step, 14.0))
+_buchstab_oracle = functools.lru_cache(maxsize=None)(
+    lambda step: _loop_buchstab(step, 14.0))
+
+ORACLE_STEPS = [1e-4, 5e-5, 2.5e-5, 1e-3, 5e-3, 0.01]
+
+
+@pytest.mark.parametrize("step", ORACLE_STEPS)
+@pytest.mark.parametrize("s_max", [6.0, 7.5, 13.37, 14.0])
+def test_block_march_matches_loop_F_f(step, s_max):
+    # 7.5 and 13.37 leave a partial last unit block
+    table = build_sieve_tables(step=step, s_max=s_max)
+    F, f = _sieve_oracle(step)
+    n = len(table.s_grid)
+    assert n == round(s_max / step) + 1
+    assert np.array_equal(table.F_values, F[:n], equal_nan=True)
+    assert np.isnan(table.F_values[0])
+    assert np.array_equal(table.f_values, f[:n])
+
+
+@pytest.mark.parametrize("step", ORACLE_STEPS)
+@pytest.mark.parametrize("u_max", [12.0, 13.37, 14.0])
+def test_block_march_matches_loop_w(step, u_max):
+    table = build_buchstab_table(step=step, u_max=u_max)
+    w = _buchstab_oracle(step)
+    assert np.array_equal(table.w_values, w[:len(table.u_grid)])
+
+
+@pytest.mark.parametrize("length", [2, 100, 101, 10 ** 4, 4 * 10 ** 4])
+def test_cumsum_is_a_left_fold(length):
+    # The block march is exact only because np.cumsum adds in sequence,
+    # like the per-node `y += inc`; mixed magnitudes make order visible.
+    rng = np.random.default_rng(length)
+    values = rng.standard_normal(length) * 10.0 ** rng.uniform(-8, 8, length)
+    folded = np.empty(length)
+    acc = values[0]
+    folded[0] = acc
+    for k in range(1, length):
+        acc = acc + values[k]
+        folded[k] = acc
+    assert np.array_equal(np.cumsum(values), folded)
+
+
+# --------------------------------------------------- build-time invariants
+
+def _marched(step=1e-3):
+    table = build_sieve_tables(step=step)
+    lag = round(1.0 / step)
+    return table.F_values.copy(), table.f_values.copy(), 2 * lag, \
+        10.0 * step * step
+
+
+def test_check_sieve_march_monotonicity():
+    F, f, lo, slack = _marched()
+    F[lo + 2000] += 1e-3
+    with pytest.raises(TableBuildError, match="monotonicity"):
+        _check_sieve_march(F, f, lo, slack)
+    F, f, lo, slack = _marched()
+    f[lo + 2000] -= 1e-3
+    with pytest.raises(TableBuildError, match="monotonicity"):
+        _check_sieve_march(F, f, lo, slack)
+
+
+def test_check_sieve_march_gap():
+    # F up and f down by 0.9 slack each: both stay monotone within the
+    # slack, but the gap grows by 1.8 slack
+    F, f, lo, slack = _marched()
+    k = lo + 2000
+    F[k + 1] = F[k] + 0.9 * slack
+    f[k + 1] = f[k] - 0.9 * slack
+    with pytest.raises(TableBuildError, match="gap"):
+        _check_sieve_march(F, f, lo, slack)
+
+
+def test_check_sieve_march_band():
+    # a common shift keeps every difference; only the band sees it
+    F, f, lo, slack = _marched()
+    F[lo:] -= 0.01
+    f[lo:] -= 0.01
+    with pytest.raises(TableBuildError, match="band"):
+        _check_sieve_march(F, f, lo, slack)
+
+
+def test_build_sieve_tables_rejects_scaled_march(monkeypatch):
+    # The march is linear in 2e^gamma, so a wrong constant scales F and f
+    # alike; the limit F(s) -> 1 then falls below the band.
+    monkeypatch.setattr(sieve_functions, "TWO_E_GAMMA", 0.99 * TWO_E_GAMMA)
+    with pytest.raises(TableBuildError, match="band"):
+        build_sieve_tables(step=1e-3)
+
+
+def test_build_buchstab_rejects_corrupted_march(monkeypatch):
+    # every marched block damped by 0.8 pulls w below the band's floor 0.5
+    march = sieve_functions._march_block
+
+    def damped(*args):
+        values, y = march(*args)
+        return 0.8 * values, y
+    monkeypatch.setattr(sieve_functions, "_march_block", damped)
+    with pytest.raises(TableBuildError, match=r"w left the \[0.5, 1\] band"):
+        build_buchstab_table(step=1e-3)
 
 
 def test_buchstab_exact_on_first_interval(buchstab):
