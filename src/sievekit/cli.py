@@ -271,7 +271,8 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, float) or (
+        type(value) is int and abs(value) <= sys.float_info.max)
 
 
 def _report_entry_problem(entry) -> str | None:
@@ -306,8 +307,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if not isinstance(entries, list):
             raise ValueError(f"{path}: every report needs a 'name' key")
         for entry in entries:
-            problem = _report_entry_problem(entry)
-            if problem:
+            if problem := _report_entry_problem(entry):
                 raise ValueError(f"{path}: {problem}")
         payloads.extend(entries)
     _emit(markdown_summary(payloads), args.out)

@@ -120,15 +120,21 @@ def _weighted_sum(w: SmoothWeight, n: np.ndarray, X: int) -> float:
 # ---------------------------------------------------------------------------
 # congruence counts Q_ell, Phi, A_d
 
+def _Q_on_progressions(X: int, roots, ell: int, w: SmoothWeight,
+                       table: PrimeTable) -> float:
+    """Sum of g(p/X) over the primes p in (X, 2X] with p mod ell in roots.
+
+    The progressions ascend like the window primes, and w.values is
+    elementwise, so the sum is bitwise that of a mask over all window primes.
+    """
+    n = _progressions(X, roots, ell)
+    return _weighted_sum(w, n[table.smallest_prime_factor[n] == n], X)
+
+
 def Q_ell(X: int, ell: int, w: SmoothWeight, table: PrimeTable) -> float:
     """Weighted count of primes p in (X, 2X] with p^2 + 1 = 0 (mod ell)."""
-    _check_window(X)
-    roots = roots_mod(ell, table).roots
-    if not roots:
-        return 0.0
-    p = table.primes_between(X, 2 * X)
-    mask = np.isin(p % ell, np.asarray(roots, dtype=np.int64))
-    return _weighted_sum(w, p[mask], X)
+    _check_window(X, min(X_OVERFLOW_CAP, table.limit // 2))
+    return _Q_on_progressions(X, roots_mod(ell, table).roots, ell, w, table)
 
 
 def Q_ell_brute(X: int, ell: int, w: SmoothWeight, table: PrimeTable) -> float:
@@ -142,14 +148,9 @@ def Q_ell_brute(X: int, ell: int, w: SmoothWeight, table: PrimeTable) -> float:
 def _progressions(X: int, residues, modulus: int) -> np.ndarray:
     """Ascending n in (X, 2X] lying in any of the residue classes."""
     lo = X + 1
-    parts = []
-    for a in residues:
-        start = lo + (a - lo) % modulus
-        if start <= 2 * X:
-            parts.append(np.arange(start, 2 * X + 1, modulus, dtype=np.int64))
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    out = np.concatenate(parts)
+    parts = [np.arange(lo + (a - lo) % modulus, 2 * X + 1, modulus,
+                       dtype=np.int64) for a in residues]
+    out = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
     out.sort()
     return out
 
@@ -161,8 +162,6 @@ def Q_ell_u(X: int, ell: int, u: float, w: SmoothWeight,
     if u < 1.0:
         raise ValueError(f"u must be >= 1, got {u}")
     n = _progressions(X, roots_mod(ell, table).roots, ell)
-    if len(n) == 0:
-        return 0.0
     spf = table.smallest_prime_factor[n].astype(np.float64)
     keep = spf > np.power(n.astype(np.float64), 1.0 / u)
     return _weighted_sum(w, n[keep], X)
@@ -172,6 +171,8 @@ def phi_sifted(X: int, z: float, d: int, a: int, w: SmoothWeight,
                table: PrimeTable) -> float:
     """Weighted count of z-rough n in (X, 2X] with n = a (mod d)."""
     _check_window(X, min(X_OVERFLOW_CAP, table.limit // 2))
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     if math.gcd(a, d) != 1:
         raise ValueError(f"residue {a} not coprime to modulus {d}")
     if z < 2:
@@ -185,6 +186,8 @@ def phi_sifted_coprime(X: int, z: float, d: int, w: SmoothWeight,
                        table: PrimeTable) -> float:
     """Weighted count of z-rough n in (X, 2X] coprime to d."""
     _check_window(X, min(X_OVERFLOW_CAP, table.limit // 2))
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     if z < 2:
         raise ValueError(f"z must be >= 2, got {z}")
     n = np.arange(X + 1, 2 * X + 1, dtype=np.int64)
@@ -194,23 +197,19 @@ def phi_sifted_coprime(X: int, z: float, d: int, w: SmoothWeight,
 
 def A_d_count(X: int, ell: int, d: int, w: SmoothWeight,
               table: PrimeTable) -> float:
-    """Weighted count of n in (X, 2X] with ell | n^2 + 1 and d | n."""
+    """Weighted count of n in (X, 2X] with ell | n^2 + 1 and d | n.
+
+    A prime dividing d and ell would divide n and n^2 + 1, so gcd(d, ell) > 1
+    gives 0; else n = d (a/d mod ell) (mod ell d) for each root a, ascending.
+    """
     _check_window(X)
-    hits = []
-    for a in roots_mod(ell, table).roots:
-        g = math.gcd(d, ell)
-        if a % g != 0:
-            continue  # no n can satisfy both congruences
-        step = ell // g * d
-        # CRT: n = a (mod ell), n = 0 (mod d)
-        m_inv = pow(d // g, -1, ell // g)
-        n0 = (a // g * m_inv) % (ell // g) * d
-        hits.append(_progressions(X, [n0 % step], step))
-    if not hits:
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    roots = roots_mod(ell, table).roots
+    if math.gcd(d, ell) > 1:
         return 0.0
-    n = np.concatenate(hits)
-    n.sort()
-    return _weighted_sum(w, n, X)
+    n0 = [a * pow(d, -1, ell) % ell * d for a in roots]
+    return _weighted_sum(w, _progressions(X, n0, ell * d), X)
 
 
 def r_d_error(X: int, ell: int, d: int, w: SmoothWeight,
@@ -583,29 +582,29 @@ def bt_exception_count(X: int, theta: float, w: SmoothWeight,
     """Count moduli in (X^theta, 2X^theta] where Q_ell beats its upper bound.
 
     The bound is (2/gamma(theta)) * mass * rho(ell) * X / (phi(ell) log X);
-    moduli with rho(ell) = 0 can never be exceptions.
+    moduli with rho(ell) = 0 can never be exceptions.  Each Q_ell is summed as
+    Q_ell sums it, at a cost of O(rho(ell) X/ell) plus one roots_mod per ell.
     """
     _check_window(X, min(X_FACTOR_CAP, table.limit // 2))
+    if X < 2:
+        raise ValueError(f"X must be >= 2 so that log X > 0, got {X}")
     level = gamma_theta(theta)  # validates theta's range
     L = int(X ** theta)
-    p = table.primes_between(X, 2 * X)
-    vals = w.values(p.astype(np.float64) / X)
     exceptions = 0
     scale = 2.0 / level * w.mass * X / math.log(X)
     for ell in range(L + 1, 2 * L + 1):
         roots = roots_mod(ell, table).roots
         if not roots:
             continue
-        q_val = float(np.sum(vals[np.isin(p % ell, np.asarray(roots))]))
+        q_val = _Q_on_progressions(X, roots, ell, w, table)
         phi_ell = multiplicative_suite(ell, table)["phi"]
         if q_val > scale * len(roots) / phi_ell:
             exceptions += 1
-    count = L
     return ExperimentReport(
         name="bt_exception_count",
         params={"X": X, "theta": theta, "weight": w.mode},
-        counters={"moduli": count, "exceptions": exceptions},
-        aggregates={"fraction": exceptions / count, "L": float(L)},
+        counters={"moduli": L, "exceptions": exceptions},
+        aggregates={"fraction": exceptions / L, "L": float(L)},
         notes="exception fraction against the residue-class upper bound")
 
 

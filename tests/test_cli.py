@@ -210,6 +210,23 @@ def test_empirical_weighted(capsys):
     assert data["counters"]["omega_le_r"] == 7521
 
 
+BAD_INPUT = [
+    ("a-d --d 0", "d must be >= 1, got 0"),
+    ("a-d --d -3", "d must be >= 1, got -3"),
+    ("phi --d 0", "d must be >= 1, got 0"),
+    ("phi-coprime --d 0", "d must be >= 1, got 0"),
+    ("bt --X 1", "X must be >= 2 so that log X > 0, got 1"),
+]
+
+
+@pytest.mark.parametrize("argv,cause", BAD_INPUT,
+                         ids=[a for a, _ in BAD_INPUT])
+def test_empirical_bad_input_names_cause(capsys, argv, cause):
+    code, out, err = run_cli(capsys, "empirical", *argv.split())
+    assert code == 1 and out == ""
+    assert err == f"error: {cause}\n"
+
+
 def test_empirical_overflow_guard(capsys):
     code, _, err = run_cli(capsys, "empirical", "q-ell", "--X",
                            str(10 ** 9 + 1))
@@ -322,6 +339,13 @@ def test_report_rejects_unversioned_json(capsys, tmp_path):
      "'aggregates' is not a JSON object"),
     ('{"schema": 1, "name": "e", "residuals": {"r": null}}',
      "every 'residuals' value must be a number"),
+    # ints beyond the float range cannot be formatted as floats
+    pytest.param('{"schema": 1, "name": "e", "aggregates": {"v": 1%s}}'
+                 % ("0" * 400), "every 'aggregates' value must be a number",
+                 id="aggregates-int-1e400"),
+    pytest.param('{"schema": 1, "name": "t", "margin": -1%s, "passed": true}'
+                 % ("0" * 400), "needs a numeric 'margin' and a bool 'passed'",
+                 id="margin-int-minus-1e400"),
 ])
 def test_report_malformed_json_names_file_and_cause(capsys, tmp_path, text,
                                                      cause):

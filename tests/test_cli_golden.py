@@ -9,7 +9,9 @@ u = 3 switch from the closed form to the march, w and f tables and the
 thm3 certificate marched at steps other than the default (coarser and
 finer), a Buchstab table lookup,
 the C(beta) curve, prime-power moduli that need Hensel-lifted roots, the
-window experiments and surveys at X = 2e4, the Chebyshev decomposition and
+window experiments and surveys at X = 2e4 (A_d also with gcd(d, ell) > 1,
+bt also at theta = 0.9), bt at X = 1e5 and Q_ell with its oracle at
+X = 3e5 under smooth weights, the Chebyshev decomposition and
 two surveys at X = 3e5 (large enough that the batched strike pass spans
 several chunks), the exhaustive Weil scan and one literal Jacobi-symbol
 sum, and ``verify all``.
@@ -70,6 +72,16 @@ GOLDEN = [
      "d7cc9dd57415c49183d2f7036f82343797303ad32e52daf08a333412bdbdcf31"),
     ("empirical bt --X 20000", 0,
      "35f3a1aedfaf2ffd058436878f604a81d69a35e71b2700315f18de2726554475"),
+    ("empirical bt --X 20000 --theta 0.9 --weight plateau", 0,
+     "97eed869cb34485e4bba2d547b8e8a3e5cd644eae707186a0f585375c8d84194"),
+    ("empirical bt --X 100000 --theta 0.7 --weight bump", 0,
+     "f5902284c351e3c0f4dc4e4a372ff12e5d191564b6d2fec0c73cf215ded396b0"),
+    ("empirical q-ell --X 300000 --ell 5 --weight bump --oracle", 0,
+     "2df5385f3e02eba8f6553fba009212ff27c78a109ea875c14abcbf1f3c4100d0"),
+    ("empirical a-d --X 20000 --ell 65 --d 13", 0,
+     "05b9e9f32db05cc4c4817fdff5b48051fd7bd3040ec859f848ccb91d4880cf97"),
+    ("empirical a-d --X 20000 --ell 65 --d 6 --weight plateau", 0,
+     "ee152df336a6b44a7eb90ef9184b375e31ee1a0231142e887c9eea9c203ccc30"),
     ("empirical almost-prime --X 20000", 0,
      "f59a97cbd72f9e26577c116a1c5f18b9015679400504fb3ffd683ed9e015fd6b"),
     ("empirical gpf --X 20000", 0,

@@ -41,6 +41,7 @@ from sievekit.primes import (
     jacobi,
     multiplicative_suite,
     rho,
+    roots_mod,
     sieve_primes,
     x_flat,
 )
@@ -102,6 +103,14 @@ def test_q_ell_hand_examples(prime_table):
     Q_ell(10 ** 6, 5, SHARP, prime_table)
     with pytest.raises(OverflowGuardError):
         Q_ell(10 ** 9 + 1, 5, SHARP, prime_table)
+
+
+def test_q_ell_rejects_window_beyond_table():
+    # (X, 2X] must lie inside the spf table the progressions are read from
+    short = sieve_primes(1000)
+    assert Q_ell(500, 5, SHARP, short) == Q_ell_brute(500, 5, SHARP, short)
+    with pytest.raises(OverflowGuardError, match=r"X must be in \[1, 500\]"):
+        Q_ell(501, 5, SHARP, short)
 
 
 def test_q_ell_matches_brute_exactly(prime_table):
@@ -183,10 +192,32 @@ def test_a_d_count_brute(prime_table):
     X = 200
     for ell in (1, 2, 5, 13, 25, 65):
         for d in (1, 2, 3, 4, 5, 6, 10, 13, 15):
-            brute = [n for n in range(X + 1, 2 * X + 1)
-                     if (n * n + 1) % ell == 0 and n % d == 0]
-            got = A_d_count(X, ell, d, SHARP, prime_table)
-            assert got == float(len(brute)), (ell, d)
+            brute = np.asarray([n for n in range(X + 1, 2 * X + 1)
+                                if (n * n + 1) % ell == 0 and n % d == 0],
+                               dtype=np.float64)
+            assert A_d_count(X, ell, d, SHARP, prime_table) == len(brute)
+            for w in MODES:
+                # summed in ascending n, as the fast path sums
+                want = float(np.sum(w.values(brute / X)))
+                assert A_d_count(X, ell, d, w, prime_table) == want, (
+                    ell, d, w.mode)
+
+
+def test_a_d_count_shared_factor_is_zero(prime_table):
+    # a prime dividing d and ell would divide both n and n^2 + 1
+    for ell, d in ((5, 5), (65, 13), (10, 4), (2, 2), (325, 15)):
+        assert A_d_count(10 ** 4, ell, d, PLATEAU, prime_table) == 0.0
+
+
+@pytest.mark.parametrize("d", [0, -3])
+@pytest.mark.parametrize("count", [
+    lambda d, t: A_d_count(100, 5, d, SHARP, t),
+    lambda d, t: phi_sifted(100, 2.0, d, 1, SHARP, t),
+    lambda d, t: phi_sifted_coprime(100, 2.0, d, SHARP, t),
+], ids=["A_d_count", "phi_sifted", "phi_sifted_coprime"])
+def test_modulus_d_below_one_is_rejected(prime_table, count, d):
+    with pytest.raises(ValueError, match=f"d must be >= 1, got {d}"):
+        count(d, prime_table)
 
 
 def test_square_sieve_count(prime_table):
@@ -473,6 +504,89 @@ def test_bt_exception_count(prime_table):
     assert rep.counters["moduli"] == 562
     assert rep.counters["exceptions"] == 0
     assert rep.aggregates["fraction"] == 0.0
+
+
+def test_bt_exception_count_needs_log_x_positive(prime_table):
+    with pytest.raises(ValueError, match="X must be >= 2"):
+        bt_exception_count(1, 0.55, SHARP, prime_table)
+    assert bt_exception_count(2, 0.55, SHARP, prime_table).counters[
+        "moduli"] == 1
+
+
+def _bt_isin_oracle(X, theta, weights, table):
+    """Reference scan: an isin mask over every window prime per modulus.
+
+    Returns, per weight, the (ell, q_val) of each modulus with a root and
+    the exception count.
+    """
+    level = experiments.gamma_theta(theta)
+    L = int(X ** theta)
+    p = table.primes_between(X, 2 * X)
+    vals = [w.values(p.astype(np.float64) / X) for w in weights]
+    q_vals = [[] for _ in weights]
+    exceptions = [0 for _ in weights]
+    for ell in range(L + 1, 2 * L + 1):
+        roots = roots_mod(ell, table).roots
+        if not roots:
+            continue
+        mask = np.isin(p % ell, np.asarray(roots))
+        phi_ell = multiplicative_suite(ell, table)["phi"]
+        for i, w in enumerate(weights):
+            q_val = float(np.sum(vals[i][mask]))
+            q_vals[i].append((ell, q_val))
+            scale = 2.0 / level * w.mass * X / math.log(X)
+            if q_val > scale * len(roots) / phi_ell:
+                exceptions[i] += 1
+    return q_vals, exceptions
+
+
+def _bt_recorded(monkeypatch, X, theta, w, table):
+    """Run the scan, recording the q_val it computes for every modulus."""
+    seen = []
+    inner = experiments._Q_on_progressions
+
+    def record(X, roots, ell, w, table):
+        q_val = inner(X, roots, ell, w, table)
+        seen.append((ell, q_val))
+        return q_val
+
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "_Q_on_progressions", record)
+        rep = bt_exception_count(X, theta, w, table)
+    return seen, rep.counters["exceptions"]
+
+
+def _hex_rows(rows):
+    return [(ell, q.hex()) for ell, q in rows]
+
+
+@pytest.mark.parametrize("X,theta", [
+    (10 ** 4, 0.5), (10 ** 4, 0.55), (10 ** 4, 0.7), (10 ** 4, 0.9),
+    (10 ** 5, 0.5), (10 ** 5, 0.55), (10 ** 5, 0.7), (10 ** 5, 0.9),
+    (10 ** 6, 0.55),
+])
+def test_bt_q_vals_bitwise_equal_isin_loop(prime_table, monkeypatch, X,
+                                           theta):
+    want, want_exc = _bt_isin_oracle(X, theta, MODES, prime_table)
+    for w, rows, exc in zip(MODES, want, want_exc):
+        seen, got_exc = _bt_recorded(monkeypatch, X, theta, w, prime_table)
+        assert len(rows) > 0
+        assert _hex_rows(seen) == _hex_rows(rows), w.mode
+        assert got_exc == exc, w.mode
+
+
+@pytest.mark.parametrize("level", [1.2, 2.0, 3.0, 30.0])
+def test_bt_exception_branch_matches_isin_loop(prime_table, monkeypatch,
+                                               level):
+    # gamma(0.7) = 0.465 leaves no exceptions here; a larger level shrinks
+    # the bound so that the compare-and-count branch fires for some moduli.
+    monkeypatch.setattr(experiments, "gamma_theta", lambda theta: level)
+    X, theta = 10 ** 4, 0.7
+    rows, want = _bt_isin_oracle(X, theta, MODES, prime_table)
+    for w, exc in zip(MODES, want):
+        rep = bt_exception_count(X, theta, w, prime_table)
+        assert rep.counters["exceptions"] == exc, w.mode
+    assert 0 < min(want) and max(want) < len(rows[0])
 
 
 # ------------------------------------------------------- chebyshev identity
