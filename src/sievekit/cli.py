@@ -164,10 +164,8 @@ def _cmd_functions(args: argparse.Namespace) -> int:
 
 def _scalar_report(name: str, params: dict, value: float,
                    extra: dict | None = None) -> ExperimentReport:
-    aggregates = {"value": value}
-    if extra:
-        aggregates.update(extra)
-    return ExperimentReport(name=name, params=params, aggregates=aggregates)
+    return ExperimentReport(name=name, params=params,
+                            aggregates={"value": value, **(extra or {})})
 
 
 def _run_experiment(args: argparse.Namespace):
@@ -213,7 +211,7 @@ def _run_experiment(args: argparse.Namespace):
                                "weight": args.weight}, value), True
     if name == "a-d":
         value = experiments.A_d_count(X, args.ell, args.d, w, table)
-        r_d = experiments.r_d_error(X, args.ell, args.d, w, table)
+        r_d = value - experiments.A_d_model(X, args.ell, args.d, w, table)
         return _scalar_report("a_d_count", {"X": X, "ell": args.ell,
                                             "d": args.d,
                                             "weight": args.weight},

@@ -112,8 +112,6 @@ def _weighted_sum(w: SmoothWeight, n: np.ndarray, X: int) -> float:
     Both the fast paths and the brute-force oracles funnel through this, so
     agreeing n-sets give bit-identical floats.
     """
-    if len(n) == 0:
-        return 0.0
     return float(np.sum(w.values(np.asarray(n, dtype=np.float64) / X)))
 
 
@@ -212,23 +210,20 @@ def A_d_count(X: int, ell: int, d: int, w: SmoothWeight,
     return _weighted_sum(w, _progressions(X, n0, ell * d), X)
 
 
+def A_d_model(X: int, ell: int, d: int, w: SmoothWeight,
+              table: PrimeTable) -> float:
+    """The model mass * rho(ell) * X/(d * ell) of A_d."""
+    return w.mass * rho(ell, table) * X / (d * ell)
+
+
 def r_d_error(X: int, ell: int, d: int, w: SmoothWeight,
               table: PrimeTable) -> float:
-    """A_d minus its model mass * rho(ell) * X/(d * ell)."""
-    return (A_d_count(X, ell, d, w, table)
-            - w.mass * rho(ell, table) * X / (d * ell))
+    """A_d minus its model."""
+    return A_d_count(X, ell, d, w, table) - A_d_model(X, ell, d, w, table)
 
 
 # ---------------------------------------------------------------------------
 # average error experiments
-
-def _coprime_residues(d: int) -> list[int]:
-    return [a for a in range(1, d + 1) if math.gcd(a, d) == 1]
-
-
-def _class_sums(values: np.ndarray, n: np.ndarray, d: int) -> np.ndarray:
-    return np.bincount((n % d).astype(np.int64), weights=values, minlength=d)
-
 
 def _error_average(vals: np.ndarray, n: np.ndarray, D: int, k: int,
                    table: PrimeTable, main_term) -> float:
@@ -240,8 +235,8 @@ def _error_average(vals: np.ndarray, n: np.ndarray, D: int, k: int,
     rows = []
     for d in range(1, D + 1):
         tau_d = multiplicative_suite(d, table)["tau"]
-        sums = _class_sums(vals, n, d)
-        residues = _coprime_residues(d)
+        sums = np.bincount((n % d).astype(np.int64), weights=vals, minlength=d)
+        residues = [a for a in range(1, d + 1) if math.gcd(a, d) == 1]
         main = main_term(d, sums, residues)
         worst = max(abs(float(sums[a % d]) - main) for a in residues)
         rows.append(tau_d ** k * worst)
@@ -415,16 +410,19 @@ class QuadraticWindowStats:
     p_plus_m: np.ndarray     # greatest prime factor of n^2 + 1
 
 
-_WINDOW_CACHE: dict[tuple[int, int], QuadraticWindowStats] = {}
-
-
 def quadratic_window_stats(X: int, table: PrimeTable) -> QuadraticWindowStats:
-    """Factor every n^2 + 1 for n in (X, 2X] by the progression sieve."""
+    """Factor every n^2 + 1 for n in (X, 2X] by the progression sieve.
+
+    The table memoizes one window: the same X again returns the same stats,
+    and another X frees the old window before striking the new one.  The
+    shared arrays are read-only.  A caller keeps the last window alive
+    (about 29 MB at X = 1e6) until it asks for another X or drops the table.
+    """
     _check_window(X, min(X_FACTOR_CAP, table.limit // 2))
-    key = (table.limit, X)
-    cached = _WINDOW_CACHE.get(key)
-    if cached is not None:
-        return cached
+    memo = table._window
+    if X in memo:
+        return memo[X]
+    memo.clear()
     n = np.arange(X + 1, 2 * X + 1, dtype=np.int64)
     rem = n * n + 1
     omega = np.zeros(X, dtype=np.int16)
@@ -458,12 +456,12 @@ def quadratic_window_stats(X: int, table: PrimeTable) -> QuadraticWindowStats:
     del rem, tail  # dead from here; freed before spf_n is allocated
     # n is the range X + 1..2X, so a slice: a gather adds an int32 copy
     spf_n = table.smallest_prime_factor[X + 1:2 * X + 1].astype(np.int64)
-    stats = QuadraticWindowStats(X=X, n=n, spf_n=spf_n,
-                                 is_prime_n=spf_n == n, omega_m=omega,
-                                 big_omega_m=big_omega, p_plus_m=p_plus)
-    if X <= 10 ** 6:
-        _WINDOW_CACHE[key] = stats
-    return stats
+    arrays = dict(n=n, spf_n=spf_n, is_prime_n=spf_n == n, omega_m=omega,
+                  big_omega_m=big_omega, p_plus_m=p_plus)
+    for a in arrays.values():
+        a.flags.writeable = False
+    memo[X] = QuadraticWindowStats(X=X, **arrays)
+    return memo[X]
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +609,10 @@ def bt_exception_count(X: int, theta: float, w: SmoothWeight,
 # ---------------------------------------------------------------------------
 # character-sum and square-sieve checks
 
+def _literal_weil_sum(m: int, pq: int) -> int:
+    return sum(jacobi((m * l * l - 1) % pq, pq) for l in range(pq))
+
+
 def weil_sum_check(p: int, q: int, m: int) -> ExperimentReport:
     """Complete Jacobi-symbol sum sum_l (m l^2 - 1 | pq) against sqrt(pq)."""
     if p == q:
@@ -620,7 +622,7 @@ def weil_sum_check(p: int, q: int, m: int) -> ExperimentReport:
     pq = p * q
     if pq > 10 ** 5:
         raise ValueError(f"pq must be <= 1e5, got {pq}")
-    S = sum(jacobi((m * l * l - 1) % pq, pq) for l in range(pq))
+    S = _literal_weil_sum(m, pq)
     bound = math.sqrt(pq)
     degenerate = math.gcd(m, pq) > 1
     ok = degenerate or abs(S) <= bound
@@ -711,7 +713,7 @@ def weil_exhaustive(max_pq: int) -> ExperimentReport:
         for m in (1, 2, pq - 1):
             if math.gcd(m, pq) > 1:
                 continue
-            direct = sum(jacobi((m * l * l - 1) % pq, pq) for l in range(pq))
+            direct = _literal_weil_sum(m, pq)
             split = int(sums[p][m % p]) * int(sums[q][m % q])
             if direct != split:
                 raise ArithmeticError(
@@ -757,7 +759,6 @@ def weighted_sieve_experiment(X: int, params: WeightedSieveParams,
     the count of survivors with few prime factors, and the exhaustive check
     of the weight inequality on squarefree survivors.
     """
-    _check_window(X, min(X_FACTOR_CAP, table.limit // 2))
     stats = quadratic_window_stats(X, table)
     z = X ** params.alpha
     y = X ** params.beta

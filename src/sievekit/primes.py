@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Iterator
 
 import numpy as np
@@ -23,6 +22,9 @@ class PrimeTable:
     limit: int
     primes: np.ndarray
     smallest_prime_factor: np.ndarray
+    # experiments.quadratic_window_stats keeps its last window here
+    _window: dict = field(default_factory=dict, init=False, compare=False,
+                          repr=False)
 
     def primes_between(self, lo: int, hi: int) -> np.ndarray:
         """Primes p with lo < p <= hi, as a slice of the table."""
@@ -306,27 +308,29 @@ def sqrt_minus_one_lifts(p: int, max_modulus: int
         r = min(r, q - r)
 
 
+def _local_root_count(p: int, e: int) -> int:
+    """rho(p^e): 1 at 2, 0 at 4 | p^e or p = 3 (mod 4), 2 at p = 1 (mod 4)."""
+    if p == 2:
+        return 1 if e == 1 else 0
+    return 2 if p % 4 == 1 else 0
+
+
 def roots_mod(d: int, table: PrimeTable | None = None) -> CongruenceRootSet:
     """All residues a (mod d) with a^2 + 1 = 0 (mod d)."""
     if not 1 <= d <= MAX_ROOTS_MODULUS:
         raise ValueError(f"modulus must be in [1, {MAX_ROOTS_MODULUS}], got {d}")
-    if d == 1:
-        return CongruenceRootSet(modulus=1, roots=(0,))
-    parts: list[tuple[int, list[int]]] = []
-    for p, e in factorize(d, table).pairs:
-        if p == 2:
-            local = [1] if e == 1 else []
-        elif p % 4 == 3:
-            local = []
-        else:
-            *_, (q, r) = sqrt_minus_one_lifts(p, p ** e)
-            local = [r, q - r]
-        if not local:
-            return CongruenceRootSet(modulus=d, roots=())
-        parts.append((p ** e, local))
+    pairs = factorize(d, table).pairs
+    if not all(_local_root_count(p, e) for p, e in pairs):  # before any lift
+        return CongruenceRootSet(modulus=d, roots=())
     combined = [(1, 0)]
-    for mod, local in parts:
-        combined = [(m * mod, _crt(a, m, b, mod)) for m, a in combined for b in local]
+    for p, e in pairs:
+        if p == 2:
+            mod, local = 2, [1]
+        else:
+            *_, (mod, r) = sqrt_minus_one_lifts(p, p ** e)
+            local = [r, mod - r]
+        combined = [(m * mod, _crt(a, m, b, mod))
+                    for m, a in combined for b in local]
     return CongruenceRootSet(modulus=d, roots=tuple(sorted(a for _, a in combined)))
 
 
@@ -339,13 +343,8 @@ def rho(d: int, table: PrimeTable | None = None) -> int:
     """Number of solutions of a^2 + 1 = 0 (mod d); multiplicative in d."""
     if not 1 <= d <= MAX_ROOTS_MODULUS:
         raise ValueError(f"modulus must be in [1, {MAX_ROOTS_MODULUS}], got {d}")
-    counts = []
-    for p, e in factorize(d, table).pairs:
-        if p == 2:
-            counts.append(1 if e == 1 else 0)
-        else:
-            counts.append(2 if p % 4 == 1 else 0)
-    return reduce(lambda x, y: x * y, counts, 1)
+    return math.prod(_local_root_count(p, e)
+                     for p, e in factorize(d, table).pairs)
 
 
 def x_flat(X: float) -> float:

@@ -29,7 +29,7 @@ from sievekit.experiments import (
     weighted_sieve_experiment,
     weil_exhaustive,
 )
-from sievekit.primes import rho
+from sievekit.primes import rho, sieve_primes
 from sievekit.sieve_functions import (
     E_MINUS_GAMMA,
     Sigma2DomainError,
@@ -263,11 +263,13 @@ def test_criterion_7_weighted_experiment(prime_table, tables):
     assert elapsed < 300.0
 
 
-def test_criterion_8_surveys(prime_table):
+def test_criterion_8_surveys():
+    # its own table, so the runtime counts its own strike passes
+    table = sieve_primes(2_000_000)
     t0 = time.perf_counter()
-    g = gpf_survey(10 ** 6, 0.847, prime_table)
+    g = gpf_survey(10 ** 6, 0.847, table)
     frac = g.aggregates["fraction"]
-    d = dartyge_survey(10 ** 5, 11.2, prime_table)
+    d = dartyge_survey(10 ** 5, 11.2, table)
     qualified = d.counters["ratio_gt_1_and_omega_le_11"]
     elapsed = time.perf_counter() - t0
     ok = frac > 0.0 and qualified > 0

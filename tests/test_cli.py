@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sievekit import cli, sieve_functions
+from sievekit import cli, experiments, sieve_functions
 from sievekit.cli import main
 
 
@@ -208,6 +208,20 @@ def test_empirical_weighted(capsys):
     data = json.loads(out)
     assert data["counters"]["weight_bound_violations"] == 0
     assert data["counters"]["omega_le_r"] == 7521
+
+
+def test_empirical_a_d_counts_once(capsys, monkeypatch):
+    calls = []
+    real = experiments.A_d_count
+    monkeypatch.setattr(experiments, "A_d_count",
+                        lambda *a: calls.append(a) or real(*a))
+    code, out, _ = run_cli(capsys, "empirical", "a-d", "--X", "20000",
+                           "--ell", "65", "--d", "13")
+    assert code == 0 and len(calls) == 1
+    data = json.loads(out)
+    X, ell, d, w, table = calls[0]
+    assert data["aggregates"]["r_d"] == experiments.r_d_error(X, ell, d, w,
+                                                              table)
 
 
 BAD_INPUT = [

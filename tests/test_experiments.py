@@ -1,5 +1,6 @@
 """Window experiments: congruence counts, identities, and exhaustive checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -45,6 +46,7 @@ from sievekit.primes import (
     sieve_primes,
     x_flat,
 )
+from sievekit.reports import to_json
 from sievekit.theorems import WeightedSieveParams, solve_delta
 
 BUMP = SmoothWeight(mode="bump")
@@ -269,6 +271,58 @@ def test_window_stats_cached(prime_table):
     assert a is b
 
 
+def test_window_memo_holds_only_the_last_window(prime_table):
+    quadratic_window_stats(800, prime_table)
+    b = quadratic_window_stats(900, prime_table)
+    assert list(prime_table._window) == [900]
+    assert prime_table._window[900] is b
+
+
+def test_window_memo_is_per_table():
+    first, second = sieve_primes(4000), sieve_primes(4000)
+    a = quadratic_window_stats(1000, first)
+    b = quadratic_window_stats(1000, second)
+    assert a is not b
+    assert first._window[1000] is a and second._window[1000] is b
+
+
+def test_window_memo_has_no_size_cap():
+    table = sieve_primes(2_000_002)
+    a = quadratic_window_stats(1_000_001, table)
+    assert quadratic_window_stats(1_000_001, table) is a
+
+
+def test_window_memo_arrays_are_read_only(prime_table):
+    stats = quadratic_window_stats(800, prime_table)
+    for f in dataclasses.fields(stats):
+        value = getattr(stats, f.name)
+        if isinstance(value, np.ndarray):
+            with pytest.raises(ValueError):
+                value[0] = 0
+
+
+def test_window_memo_hits_match_fresh_tables(monkeypatch):
+    # the survey battery at two windows, the weighted sieve at the first
+    X1, X2 = 20000, 30001
+    params = WeightedSieveParams(alpha=1.0 / 12.0, beta=0.622,
+                                 delta=min(solve_delta(), 0.622), r=4)
+    surveys = [lambda X, t: almost_prime_survey(X, 4, t),
+               lambda X, t: gpf_survey(X, 0.847, t),
+               lambda X, t: dartyge_survey(X, 11.2, t)]
+    jobs = [(X1, job) for job in surveys] + [
+        (X1, lambda X, t: weighted_sieve_experiment(X, params, SHARP, t))
+    ] + [(X2, job) for job in surveys]
+    passes = []
+    real = experiments.strike_large_primes
+    monkeypatch.setattr(experiments, "strike_large_primes",
+                        lambda X, *a: passes.append(X) or real(X, *a))
+    table = sieve_primes(2 * X2)
+    shared = [to_json(job(X, table)) for X, job in jobs]
+    assert passes == [X1, X2]  # one strike pass per window
+    for (X, job), got in zip(jobs, shared):
+        assert to_json(job(X, sieve_primes(2 * X2))) == got
+
+
 # ------------------------------------- split strike pass against the generator
 
 ORACLE_WINDOWS = [1, 2, 3, 7, 300, 20000, 20001]
@@ -371,13 +425,13 @@ def _assert_stats_match_generator(X, table):
 
 
 @pytest.mark.parametrize("X", ORACLE_WINDOWS)
-def test_window_stats_match_generator(prime_table, monkeypatch, X):
-    monkeypatch.setattr(experiments, "_WINDOW_CACHE", {})
+def test_window_stats_match_generator(prime_table, X):
+    prime_table._window.clear()
     _assert_stats_match_generator(X, prime_table)
 
 
 def test_window_stats_match_generator_across_chunks(prime_table, monkeypatch):
-    monkeypatch.setattr(experiments, "_WINDOW_CACHE", {})
+    prime_table._window.clear()
     passes = _record_chunks(monkeypatch)
     _assert_stats_match_generator(SEVERAL_CHUNKS_X, prime_table)
     assert passes[0][0] >= 3
@@ -818,6 +872,18 @@ def test_weil_sum_check_small(prime_table):
     # brute: sum of jacobi(m ell^2 - 1, 15) over ell mod 15
     brute = sum(jacobi((ell * ell - 1) % 15, 15) for ell in range(15))
     assert rep.aggregates["S"] == float(brute)
+
+
+def test_weil_literal_sums_make_one_jacobi_call_per_term(monkeypatch):
+    calls = []
+    real = experiments.jacobi
+    monkeypatch.setattr(experiments, "jacobi",
+                        lambda a, n: calls.append(n) or real(a, n))
+    weil_sum_check(3, 5, 1)
+    assert calls == [15] * 15
+    calls.clear()
+    rep = weil_exhaustive(15)
+    assert calls == [15] * (15 * rep.counters["direct_checks"])
 
 
 def test_weil_sum_degenerate(prime_table):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sievekit import primes
 from sievekit.primes import (
     MAX_INT64_SQUARE_ROOT,
     CongruenceRootSet,
@@ -248,6 +249,20 @@ def test_sqrt_minus_one_lifts_every_level():
 def test_congruence_root_set_validates():
     with pytest.raises(ValueError):
         CongruenceRootSet(modulus=13, roots=(4,))
+
+
+def test_roots_mod_lifts_nothing_for_rootless_moduli(monkeypatch):
+    # a factor 3 mod 4 empties the root set, so no root of -1 is lifted,
+    # even mod an earlier factor 1 mod 4
+    calls = []
+    real = primes.sqrt_minus_one
+    monkeypatch.setattr(primes, "sqrt_minus_one",
+                        lambda p: calls.append(p) or real(p))
+    assert roots_mod(35).roots == ()
+    assert roots_mod(5 * 11 * 13).roots == ()
+    assert calls == []
+    assert roots_mod(5 * 13).roots == (8, 18, 47, 57)
+    assert calls == [5, 13]
 
 
 def test_rho_matches_roots(prime_table):
