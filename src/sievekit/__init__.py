@@ -7,6 +7,11 @@ exact desk-scale counting experiments over windows (X, 2X] (experiments),
 all on top of a vectorized prime toolkit (primes).
 """
 
+import os
+
+# sievekit makes no BLAS call, so numpy need not start an OpenBLAS thread pool.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .experiments import (SHARP, QuadraticWindowStats, SmoothWeight,
                           A_d_count, Q_ell, Q_ell_brute, Q_ell_u,
                           almost_prime_survey, bt_exception_count,

@@ -136,6 +136,8 @@ def _function_evaluator(name: str, step: float):
 
 _TABLE_RANGES = {"F": (1.0, 12.0), "f": (0.5, 12.0), "w": (1.0, 12.0),
                  "sigma2": (0.1, 2.0), "gamma_theta": (0.5, 0.94)}
+# A table row costs a few microseconds, so this cap serves in seconds.
+MAX_TABLE_ROWS = 10 ** 6
 
 
 def _cmd_functions(args: argparse.Namespace) -> int:
@@ -149,7 +151,11 @@ def _cmd_functions(args: argparse.Namespace) -> int:
     hi = hi_default if args.max is None else args.max
     if not (hi > lo and args.step > 0):
         raise ValueError(f"bad table range [{lo}, {hi}] at step {args.step}")
-    count = int(math.floor((hi - lo) / args.step + 1e-9)) + 1
+    span = (hi - lo) / args.step
+    if not span < MAX_TABLE_ROWS:  # an infinite range is refused here too
+        raise ValueError(f"table of {span + 1:.0f} rows exceeds the cap of "
+                         f"{MAX_TABLE_ROWS} rows")
+    count = int(math.floor(span + 1e-9)) + 1
     evaluate = _function_evaluator(args.name, args.table_step)
     lines = ["x,value"]
     for i in range(count):

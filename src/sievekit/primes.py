@@ -11,6 +11,8 @@ import numpy as np
 MAX_SIEVE_LIMIT = 10 ** 9
 MAX_ROOTS_MODULUS = 10 ** 12
 MAX_INT64_SQUARE_ROOT = math.isqrt(2 ** 63 - 1)  # p^2 < 2^63 up to here
+# Peak of sieve_primes: int32 spf and index arrays plus two bool masks.
+SIEVE_BYTES_PER_ENTRY = 11
 
 # Witness set is deterministic for every n < 3.3e24, far past the 2^63 input cap.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -66,10 +68,28 @@ class CongruenceRootSet:
                 raise ValueError(f"{a}^2+1 not divisible by {self.modulus}")
 
 
+def _mem_available_bytes() -> int | None:
+    """MemAvailable from /proc/meminfo, or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError):
+        pass
+    return None
+
+
 def sieve_primes(limit: int) -> PrimeTable:
     """Sieve of Eratosthenes with a smallest-prime-factor side table."""
     if not 2 <= limit <= MAX_SIEVE_LIMIT:
         raise ValueError(f"limit must be in [2, {MAX_SIEVE_LIMIT}], got {limit}")
+    need = (limit + 1) * SIEVE_BYTES_PER_ENTRY
+    available = _mem_available_bytes()
+    if available is not None and need > available:
+        raise ValueError(f"a prime table to {limit} needs about "
+                         f"{need / 2 ** 20:.0f} MiB, more than the "
+                         f"{available / 2 ** 20:.0f} MiB available")
     spf = np.zeros(limit + 1, dtype=np.int32)
     for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == 0:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sievekit import cli, experiments, sieve_functions
+from sievekit import cli, experiments, primes, sieve_functions
 from sievekit.cli import main
 
 
@@ -157,6 +157,39 @@ def test_table_step_below_floor_exits_1(argv, capsys, monkeypatch):
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 1 and out == ""
     assert err.startswith("error: step must be in [1e-06, 0.01], got ")
+
+
+@pytest.mark.parametrize("argv,rows", [
+    ("functions table F --step 1e-9", "11000000001"),
+    ("functions table sigma2 --step 1e-9", "1900000001"),
+    ("functions table F --max inf", "inf"),
+])
+def test_table_over_row_cap_exits_1_before_any_march(argv, rows, capsys,
+                                                     monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was marched")
+    monkeypatch.setattr(cli, "build_sieve_tables", refuse)
+    monkeypatch.setattr(cli, "build_buchstab_table", refuse)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 1 and out == ""
+    assert err == (f"error: table of {rows} rows exceeds the cap of "
+                   f"{cli.MAX_TABLE_ROWS} rows\n")
+
+
+def test_readme_table_is_within_row_cap(capsys):
+    code, out, _ = run_cli(capsys, "functions", "table", "w", "--max", "12",
+                           "--step", "0.01")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 1101
+
+
+def test_prime_table_beyond_memory_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(primes, "_mem_available_bytes", lambda: 2 ** 20)
+    monkeypatch.setattr(primes, "np", None)
+    code, out, err = run_cli(capsys, "empirical", "q-ell", "--X", "100000")
+    assert code == 1 and out == ""
+    assert err == ("error: a prime table to 200000 needs about 2 MiB, "
+                   "more than the 1 MiB available\n")
 
 
 # ----------------------------------------------------------------- empirical

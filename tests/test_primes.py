@@ -305,3 +305,17 @@ def test_x_flat_increasing_beyond_e4():
 def test_sieve_rejects_bad_limit():
     with pytest.raises(ValueError):
         sieve_primes(1)
+
+
+def test_sieve_refuses_a_table_beyond_available_memory(monkeypatch):
+    # the estimate alone decides: numpy is never reached, nothing allocated
+    monkeypatch.setattr(primes, "_mem_available_bytes", lambda: 50 * 2 ** 20)
+    monkeypatch.setattr(primes, "np", None)
+    with pytest.raises(ValueError, match=r"^a prime table to 10000000 needs "
+                       r"about 105 MiB, more than the 50 MiB available$"):
+        sieve_primes(10 ** 7)
+
+
+def test_sieve_skips_the_memory_check_when_unreadable(monkeypatch):
+    monkeypatch.setattr(primes, "_mem_available_bytes", lambda: None)
+    assert sieve_primes(100).prime_count(100) == 25
