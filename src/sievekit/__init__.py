@@ -18,7 +18,7 @@ from .experiments import (SHARP, QuadraticWindowStats, SmoothWeight,
                           bv_error_average, chebyshev_decomposition,
                           dartyge_survey, gpf_survey, phi_sifted,
                           phi_sifted_coprime, quadratic_window_stats,
-                          r_d_error, square_sieve_count, weight_eval,
+                          square_sieve_count, weight_eval,
                           weighted_sieve_experiment, weil_exhaustive,
                           weil_sum_check, wolke_error_average)
 from .primes import (CongruenceRootSet, Factorization, PrimeTable, factorize,
@@ -29,32 +29,29 @@ from .sieve_functions import (BuchstabTable, SieveFunctionTable,
                               Sigma2DomainError, buchstab_w,
                               build_buchstab_table, build_sieve_tables,
                               eval_F, eval_f, selberg_sigma2)
-from .theorems import (GammaThetaSpec, HypothesisViolationError,
-                       InfeasibilityError, WeightedSieveParams, c1_integral,
-                       c2_integral, compute_C, compute_H, compute_Hq,
-                       compute_frak_c, dartyge_margin, eta_theta,
-                       find_max_vartheta, find_min_u, gamma_theta,
-                       optimize_beta, optimize_gamma12, solve_delta,
-                       theorem2_integral)
+from .theorems import (HypothesisViolationError, InfeasibilityError,
+                       WeightedSieveParams, c1_integral, c2_integral,
+                       compute_C, dartyge_margin, find_max_vartheta,
+                       gamma_theta, optimize_beta, optimize_gamma12,
+                       solve_delta, theorem2_integral)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "A_d_count", "BuchstabTable", "CongruenceRootSet",
-    "ExperimentReport", "Factorization", "GammaThetaSpec",
+    "ExperimentReport", "Factorization",
     "HypothesisViolationError", "InfeasibilityError", "PrimeTable", "Q_ell",
     "Q_ell_brute", "Q_ell_u", "QuadraticWindowStats", "SieveFunctionTable",
     "SHARP", "Sigma2DomainError", "SmoothWeight", "TheoremReport",
     "WeightedSieveParams", "almost_prime_survey", "bt_exception_count",
     "buchstab_w", "build_buchstab_table", "build_sieve_tables",
     "bv_error_average", "c1_integral", "c2_integral",
-    "chebyshev_decomposition", "compute_C", "compute_H", "compute_Hq",
-    "compute_frak_c", "dartyge_margin", "dartyge_survey",
-    "eta_theta", "eval_F", "eval_f", "factorize", "find_max_vartheta",
-    "find_min_u", "gamma_theta", "gpf_survey", "is_prime", "jacobi",
+    "chebyshev_decomposition", "compute_C", "dartyge_margin",
+    "dartyge_survey", "eval_F", "eval_f", "factorize", "find_max_vartheta",
+    "gamma_theta", "gpf_survey", "is_prime", "jacobi",
     "markdown_summary", "multiplicative_suite",
     "optimize_beta", "optimize_gamma12", "phi_sifted", "phi_sifted_coprime",
-    "quadratic_window_stats", "r_d_error", "rho", "roots_mod",
+    "quadratic_window_stats", "rho", "roots_mod",
     "selberg_sigma2", "sieve_primes", "solve_delta", "sqrt_minus_one",
     "square_sieve_count", "theorem2_integral", "to_json", "weight_eval",
     "weighted_sieve_experiment", "weil_exhaustive", "weil_sum_check",

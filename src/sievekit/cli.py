@@ -9,6 +9,7 @@ inputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -83,12 +84,16 @@ def _apply_defaults(args: argparse.Namespace) -> None:
             setattr(args, key, value)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _output(out: str | None):
+    """Context manager for stdout, or for the --out file opened to write."""
     if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(out, "w", encoding="utf-8")
+
+
+def _emit(text: str, out: str | None) -> None:
+    with _output(out) as handle:
+        handle.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +162,15 @@ def _cmd_functions(args: argparse.Namespace) -> int:
                          f"{MAX_TABLE_ROWS} rows")
     count = int(math.floor(span + 1e-9)) + 1
     evaluate = _function_evaluator(args.name, args.table_step)
-    lines = ["x,value"]
-    for i in range(count):
-        x = lo + i * args.step
-        lines.append(f"{x:.6f},{evaluate(x):.17g}")
-    _emit("\n".join(lines) + "\n", args.out)
+    # Every domain is an interval, so if both end rows evaluate, all rows do:
+    # a range that leaves the domain fails here, before anything is written.
+    evaluate(lo)
+    evaluate(lo + (count - 1) * args.step)
+    with _output(args.out) as handle:
+        handle.write("x,value\n")
+        for i in range(count):
+            x = lo + i * args.step
+            handle.write(f"{x:.6f},{evaluate(x):.17g}\n")
     return 0
 
 

@@ -101,8 +101,6 @@ SHARP = SmoothWeight(mode="sharp")
 
 def weight_eval(w: SmoothWeight, x: float) -> float:
     """Scalar g(x)."""
-    if w.mode == "sharp":
-        return 1.0 if 1.0 < x <= 2.0 else 0.0
     return float(w.values(np.asarray([x]))[0])
 
 
@@ -214,12 +212,6 @@ def A_d_model(X: int, ell: int, d: int, w: SmoothWeight,
               table: PrimeTable) -> float:
     """The model mass * rho(ell) * X/(d * ell) of A_d."""
     return w.mass * rho(ell, table) * X / (d * ell)
-
-
-def r_d_error(X: int, ell: int, d: int, w: SmoothWeight,
-              table: PrimeTable) -> float:
-    """A_d minus its model."""
-    return A_d_count(X, ell, d, w, table) - A_d_model(X, ell, d, w, table)
 
 
 # ---------------------------------------------------------------------------

@@ -36,11 +36,6 @@ class PrimeTable:
         j = int(np.searchsorted(self.primes, hi, side="right"))
         return self.primes[i:j]
 
-    def prime_count(self, n: int) -> int:
-        if n > self.limit:
-            raise ValueError(f"{n} exceeds table limit {self.limit}")
-        return int(np.searchsorted(self.primes, n, side="right"))
-
 
 @dataclass(frozen=True)
 class Factorization:
@@ -101,32 +96,6 @@ def sieve_primes(limit: int) -> PrimeTable:
     spf[1] = 1
     primes = np.nonzero(spf == idx)[0][2:].astype(np.int64)
     return PrimeTable(limit=limit, primes=primes, smallest_prime_factor=spf)
-
-
-def segmented_prime_count(lo: int, hi: int) -> int:
-    """Count primes in (lo, hi] by an independent segmented sieve."""
-    if hi <= lo:
-        return 0
-    root = math.isqrt(hi)
-    base = np.ones(root + 1, dtype=bool)
-    base[:2] = False
-    for p in range(2, math.isqrt(root) + 1):
-        if base[p]:
-            base[p * p:: p] = False
-    base_primes = np.nonzero(base)[0]
-    count = 0
-    span = 1 << 20
-    for start in range(lo + 1, hi + 1, span):
-        stop = min(start + span, hi + 1)
-        seg = np.ones(stop - start, dtype=bool)
-        for p in base_primes:
-            first = max(p * p, (start + p - 1) // p * p)
-            if first < stop:
-                seg[first - start:: p] = False
-        if start <= 1:
-            seg[: min(2 - start, stop - start)] = False
-        count += int(np.count_nonzero(seg))
-    return count
 
 
 def is_prime(n: int) -> bool:

@@ -2,8 +2,8 @@
 
 Everything here recomputes a number that the accompanying experiments rely
 on: the piecewise exception level gamma(theta) and its exceedance integral,
-the weighted-sieve constant C at (alpha, beta, r), the Buchstab-margin test
-for rough quadratic values, and the singular-series constant for n^2 + 1.
+the weighted-sieve constant C at (alpha, beta, r), and the Buchstab-margin
+test for rough quadratic values.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 from .numerics import (E_GAMMA, QuadratureError, bisect_root, integrate_checked,
                        integrate_piecewise, parabolic_peak)
-from .primes import is_prime, rho, sieve_primes
 from .reports import TheoremReport
 from .sieve_functions import (BuchstabTable, SieveFunctionTable,
                               Sigma2DomainError, TableDomainError, buchstab_w,
@@ -32,29 +31,19 @@ class HypothesisViolationError(ValueError):
     """Inputs violate a hypothesis under which the formula is proved."""
 
 
-@dataclass(frozen=True)
-class GammaThetaSpec:
-    """Piecewise-linear exception level: piece (a, b, c) means (a - b*theta)/c."""
-    breakpoints: tuple[Fraction, ...] = (
-        Fraction(1, 2), Fraction(64, 97), Fraction(32, 41), Fraction(16, 17))
-    pieces: tuple[tuple[int, int, int], ...] = (
-        (91, 89, 62), (86, 83, 60), (19, 18, 14))
+# gamma(theta) is piecewise linear: piece (a, b, c) is (a - b*theta)/c on
+# [GAMMA_BREAKPOINTS[i], GAMMA_BREAKPOINTS[i + 1]); neighbours agree exactly
+# at each inner breakpoint.
+GAMMA_BREAKPOINTS = (Fraction(1, 2), Fraction(64, 97), Fraction(32, 41),
+                     Fraction(16, 17))
+GAMMA_PIECES = ((91, 89, 62), (86, 83, 60), (19, 18, 14))
 
-    def __post_init__(self):
-        for i in range(len(self.pieces) - 1):
-            bp = self.breakpoints[i + 1]
-            a1, b1, c1 = self.pieces[i]
-            a2, b2, c2 = self.pieces[i + 1]
-            if Fraction(a1 - b1 * bp, c1) != Fraction(a2 - b2 * bp, c2):
-                raise ValueError(f"pieces {i} and {i + 1} disagree at {bp}")
-
-
-GAMMA_SPEC = GammaThetaSpec()
-
-THETA_MAX = GAMMA_SPEC.breakpoints[-1]
+THETA_MAX = GAMMA_BREAKPOINTS[-1]
 ETA_THETA_MAX = Fraction(112, 131)
 GAMMA12_THETA_MAX = Fraction(8015, 11659)
 BETA_HYPOTHESIS_MAX = 0.68
+# A C(beta) point costs about 0.7 ms, so a capped scan serves in seconds.
+MAX_BETA_POINTS = 10 ** 4
 
 # c2 kernel: numerator 88288 = 4 * 22072; denominator (91 - 89t)^2 expanded.
 C2_NUMERATOR = 88288
@@ -68,9 +57,8 @@ def _gamma_value(theta: float) -> float:
     The piece is chosen by exact comparison with the Fraction breakpoints,
     so a Fraction theta gives an exact Fraction value.
     """
-    i = bisect_right(GAMMA_SPEC.breakpoints, theta, 1,
-                     len(GAMMA_SPEC.pieces)) - 1
-    a, b, c = GAMMA_SPEC.pieces[i]
+    i = bisect_right(GAMMA_BREAKPOINTS, theta, 1, len(GAMMA_PIECES)) - 1
+    a, b, c = GAMMA_PIECES[i]
     return (a - b * theta) / c
 
 
@@ -81,19 +69,12 @@ def gamma_theta(theta: float) -> float:
     return _gamma_value(theta)
 
 
-def eta_theta(theta: float) -> float:
-    """All-moduli level eta(theta) = (91 - 89*theta)/62 on [1/2, 112/131)."""
-    if not 0.5 <= theta < ETA_THETA_MAX:
-        raise ValueError(f"eta(theta) defined on [1/2, 112/131), got {theta}")
-    return (91.0 - 89.0 * theta) / 62.0
-
-
 def _theorem2_pieces(vartheta: float) -> list[float]:
     """Closed-form values of the three integrals of 2/gamma(theta)."""
-    bps = [float(bp) for bp in GAMMA_SPEC.breakpoints]
+    bps = [float(bp) for bp in GAMMA_BREAKPOINTS]
     ends = [bps[1], bps[2], vartheta]
     out = []
-    for (a, b, c), lo, hi in zip(GAMMA_SPEC.pieces, bps[:3], ends):
+    for (a, b, c), lo, hi in zip(GAMMA_PIECES, bps[:3], ends):
         # integral of 2c/(a - b t) dt = (2c/b) log((a - b lo)/(a - b hi))
         out.append(2.0 * c / b * math.log((a - b * lo) / (a - b * hi)))
     return out
@@ -105,11 +86,11 @@ def theorem2_integral(vartheta: float) -> TheoremReport:
     Antiderivative path is exact logarithms; an adaptive-quadrature path
     re-derives the total and must agree to 1e-6 or the run aborts.
     """
-    if not GAMMA_SPEC.breakpoints[-2] <= Fraction(vartheta) < THETA_MAX:
+    if not GAMMA_BREAKPOINTS[-2] <= Fraction(vartheta) < THETA_MAX:
         raise ValueError(f"vartheta must lie in [32/41, 16/17), got {vartheta}")
     pieces = _theorem2_pieces(vartheta)
     total = sum(pieces)
-    knots = [float(bp) for bp in GAMMA_SPEC.breakpoints[:-1]] + [vartheta]
+    knots = [float(bp) for bp in GAMMA_BREAKPOINTS[:-1]] + [vartheta]
     quad = integrate_piecewise(lambda t: 2.0 / _gamma_value(t), knots)
     if abs(total - quad) > 1e-6:
         raise QuadratureError(
@@ -130,7 +111,7 @@ def theorem2_integral(vartheta: float) -> TheoremReport:
 
 def find_max_vartheta() -> float:
     """Largest vartheta with exceedance total equal to 3/2 (bisection root)."""
-    lo = float(GAMMA_SPEC.breakpoints[-2])
+    lo = float(GAMMA_BREAKPOINTS[-2])
     hi = float(THETA_MAX) - 1e-9
     return bisect_root(lambda t: sum(_theorem2_pieces(t)) - 1.5, lo, hi)
 
@@ -313,12 +294,21 @@ def optimize_beta(r: int, alpha: float,
     """Scan C over the beta grid [0.41, 0.68); return maximizer and curve."""
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
+    if not step > 0.0:
+        raise ValueError(f"beta step must be positive, got {step}")
+    span = (BETA_HYPOTHESIS_MAX - 0.41) / step
+    if span > MAX_BETA_POINTS:
+        raise ValueError(f"a beta grid at step {step} has about {span:.0f} "
+                         f"points, more than the cap of {MAX_BETA_POINTS}")
     delta_root = solve_delta()
     eta_floor = 2.0 / (r + 1)
     n_lo = math.ceil(0.41 / step)
     n_hi = math.ceil(BETA_HYPOTHESIS_MAX / step)
     betas = [i * step for i in range(n_lo, n_hi)
              if eta_floor < i * step < BETA_HYPOTHESIS_MAX]
+    if not betas:
+        raise ValueError(f"the beta grid at step {step} has no point above "
+                         f"2/(r+1) = {eta_floor:g}")
 
     def point(beta: float) -> float:
         params = WeightedSieveParams(alpha=alpha, beta=beta,
@@ -350,9 +340,9 @@ def dartyge_margin(u: float, theta0: float, ftable: SieveFunctionTable,
 
     # Part 1: F(u * gamma(theta)); split at the gamma breakpoints and at the
     # points where the F argument crosses its branch boundaries 3 and 5.
-    bps = [float(bp) for bp in GAMMA_SPEC.breakpoints]
+    bps = [float(bp) for bp in GAMMA_BREAKPOINTS]
     cross = set()
-    for (a, b, c), lo, hi in zip(GAMMA_SPEC.pieces, bps[:3], bps[1:]):
+    for (a, b, c), lo, hi in zip(GAMMA_PIECES, bps[:3], bps[1:]):
         for s0 in (3.0, 5.0):
             t = (a - c * s0 / u) / b
             if lo < t < hi:
@@ -390,78 +380,3 @@ def dartyge_margin(u: float, theta0: float, ftable: SieveFunctionTable,
         margin=margin,
         passed=margin > 0.0,
         notes=f"sigma2 argument stays within (0, 2] (max {worst:.9f})")
-
-
-def find_min_u(theta0: float, grid_step: float, ftable: SieveFunctionTable,
-               wtable: BuchstabTable) -> float:
-    """Smallest grid u (scanning down from 12.2) with a positive margin.
-
-    Containment failures at the top of the scan count as non-positive
-    margins; the scan stops at the first non-positive margin after the
-    positive window has been entered.
-    """
-    if grid_step <= 0.0:
-        raise ValueError(f"grid_step must be positive, got {grid_step}")
-    best = None
-    k = 0
-    while True:
-        u = 12.2 - k * grid_step
-        if u <= 2.0:
-            break
-        try:
-            m = dartyge_margin(u, theta0, ftable, wtable).margin
-        except Sigma2DomainError:
-            m = -math.inf
-        if m > 0.0:
-            best = u
-        elif best is not None:
-            break
-        k += 1
-    if best is None:
-        raise ArithmeticError("no positive margin found on the scan grid")
-    return best
-
-
-def compute_Hq(q: int) -> float:
-    """Relative density factor (1 - rho(q)/q)(1 - (1 + rho(q))/q)^-1."""
-    if q == 2 or not is_prime(q):
-        raise ValueError(f"q must be an odd prime, got {q}")
-    r = rho(q)
-    return (1.0 - r / q) / (1.0 - (1 + r) / q)
-
-
-def compute_H(g1: dict[int, float], g2: dict[int, float]) -> float:
-    """Product of (1 - g1(p) - g2(p))(1 - 1/p)^-2 over the joint support."""
-    support = sorted(set(g1) | set(g2))
-    out = 1.0
-    for p in support:
-        if not is_prime(p):
-            raise ValueError(f"support must consist of primes, got {p}")
-        v1, v2 = g1.get(p, 0.0), g2.get(p, 0.0)
-        if not (0.0 <= v1 <= 0.5 and 0.0 <= v2 <= 0.5):
-            raise HypothesisViolationError(
-                f"densities at p={p} leave [0, 1/2]: {v1}, {v2}")
-        out *= (1.0 - v1 - v2) / (1.0 - 1.0 / p) ** 2
-    return out
-
-
-def compute_frak_c(prime_limit: int, table=None) -> tuple[float, float]:
-    """Singular-series constant 2 prod_{p>2} (1 - rho(p)/(p-1))(1 - 1/p)^-1.
-
-    The raw partial product oscillates like a character sum, so the
-    accelerated value divides out the partial product of (1 - chi4(p)/p)
-    and multiplies the known full product 4/pi back in.
-    """
-    if prime_limit < 5:
-        raise ValueError(f"prime_limit must be >= 5, got {prime_limit}")
-    if table is not None and table.limit >= prime_limit:
-        odd_primes = table.primes_between(2, prime_limit)
-    else:
-        odd_primes = sieve_primes(prime_limit).primes_between(2, prime_limit)
-    p = odd_primes.astype("float64")
-    chi = ((odd_primes % 4 == 1).astype("float64") * 2.0) - 1.0
-    factors = (1.0 - (1.0 + chi) / (p - 1.0)) * p / (p - 1.0)
-    partial = 2.0 * float(factors.prod())
-    char_partial = float((1.0 - chi / p).prod())
-    accelerated = partial * (4.0 / math.pi) / char_partial
-    return partial, accelerated

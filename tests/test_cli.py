@@ -1,6 +1,7 @@
 """CLI surface: exit codes, determinism, config precedence, output shapes."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -150,13 +151,17 @@ def test_each_table_is_marched_at_most_once(argv, builds, capsys,
     "functions eval F 6 --table-step 1e-8",
     "verify all --table-step 5e-7",
     "plot-data c-beta --table-step 1e-8",
+    # these two used to march and then fail their build check
+    "verify thm1 --table-step 1e-6",
+    "functions eval w 6 --table-step 2.5e-6",
 ])
 def test_table_step_below_floor_exits_1(argv, capsys, monkeypatch):
     # the floor check runs before numpy is touched: no table is allocated
     monkeypatch.setattr(sieve_functions, "np", None)
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 1 and out == ""
-    assert err.startswith("error: step must be in [1e-06, 0.01], got ")
+    assert err.startswith("error: step must be in [1e-05, 0.01], got ")
+    assert "roundoff" in err
 
 
 @pytest.mark.parametrize("argv,rows", [
@@ -174,6 +179,37 @@ def test_table_over_row_cap_exits_1_before_any_march(argv, rows, capsys,
     assert code == 1 and out == ""
     assert err == (f"error: table of {rows} rows exceeds the cap of "
                    f"{cli.MAX_TABLE_ROWS} rows\n")
+
+
+@pytest.mark.parametrize("argv,last", [
+    ("functions table F --max 20 --step 0.5", "20"),
+    ("functions table sigma2 --min 1 --max 3 --step 0.5", "3"),
+    ("functions table w --min 0.5 --max 2 --step 0.5", "0.5"),
+])
+def test_table_leaving_the_domain_writes_nothing(argv, last, capsys,
+                                                 tmp_path):
+    out_path = tmp_path / "table.csv"
+    code, out, err = run_cli(capsys, *argv.split(), "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert not out_path.exists()
+    assert err.startswith("error: ") and f"={last}" in err
+
+
+def test_table_rows_are_streamed(capsys, tmp_path):
+    # 19,001 rows: a list of the lines and its joined copy peak at ~2.7 MB;
+    # streamed, the peak is what one call of main allocates (~0.3 MB cold)
+    out_path = tmp_path / "sigma2.csv"
+    tracemalloc.start()
+    try:
+        code = main(["functions", "table", "sigma2", "--step", "1e-4",
+                     "--out", str(out_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    lines = out_path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 1 + 19_001
+    assert peak < 2 ** 20
 
 
 def test_readme_table_is_within_row_cap(capsys):
@@ -252,9 +288,8 @@ def test_empirical_a_d_counts_once(capsys, monkeypatch):
                            "--ell", "65", "--d", "13")
     assert code == 0 and len(calls) == 1
     data = json.loads(out)
-    X, ell, d, w, table = calls[0]
-    assert data["aggregates"]["r_d"] == experiments.r_d_error(X, ell, d, w,
-                                                              table)
+    model = experiments.A_d_model(*calls[0])
+    assert data["aggregates"]["r_d"] == data["aggregates"]["value"] - model
 
 
 BAD_INPUT = [
@@ -332,6 +367,22 @@ def test_config_missing_file_is_io_error(capsys):
 
 
 # ------------------------------------------------------- plot-data / report
+
+@pytest.mark.parametrize("argv,message", [
+    ("--beta-step 0", "beta step must be positive, got 0.0"),
+    ("--beta-step -0.01", "beta step must be positive, got -0.01"),
+    ("--beta-step 1", "the beta grid at step 1.0 has no point above "
+                      "2/(r+1) = 0.4"),
+    ("--r 1", "the beta grid at step 0.001 has no point above 2/(r+1) = 1"),
+    ("--beta-step 1e-9", "a beta grid at step 1e-09 has about 270000000 "
+                         "points, more than the cap of 10000"),
+])
+def test_plot_data_refuses_a_beta_grid_it_cannot_scan(argv, message, capsys):
+    code, out, err = run_cli(capsys, "plot-data", "c-beta", "--table-step",
+                             "0.01", *argv.split())
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
 
 def test_plot_data_c_beta(capsys):
     code, out, _ = run_cli(capsys, "plot-data", "c-beta",

@@ -12,6 +12,7 @@ from sievekit import experiments
 from sievekit.experiments import (
     SHARP,
     A_d_count,
+    A_d_model,
     OverflowGuardError,
     Q_ell,
     Q_ell_brute,
@@ -27,7 +28,6 @@ from sievekit.experiments import (
     phi_sifted,
     phi_sifted_coprime,
     quadratic_window_stats,
-    r_d_error,
     square_sieve_count,
     strike_large_primes,
     weight_eval,
@@ -186,8 +186,8 @@ def test_phi_sifted_coprime_is_sum_over_residues(prime_table):
 def test_a_d_count_hand_examples(prime_table):
     # (10, 20]: 5 | n^2+1 at n in {12, 13, 17, 18}; of these 3 | n at n=12, 18
     assert A_d_count(10, 5, 3, SHARP, prime_table) == 2.0
-    assert r_d_error(10, 5, 3, SHARP, prime_table) == pytest.approx(
-        2.0 - 20.0 / 15.0, abs=1e-15)
+    assert A_d_model(10, 5, 3, SHARP, prime_table) == pytest.approx(
+        20.0 / 15.0, abs=1e-15)
 
 
 def test_a_d_count_brute(prime_table):

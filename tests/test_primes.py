@@ -17,7 +17,6 @@ from sievekit.primes import (
     multiplicative_suite,
     rho,
     roots_mod,
-    segmented_prime_count,
     sieve_primes,
     sqrt_minus_one,
     sqrt_minus_one_batch,
@@ -26,16 +25,44 @@ from sievekit.primes import (
 )
 
 
+def segmented_prime_count(lo: int, hi: int) -> int:
+    """Count primes in (lo, hi] by an independent segmented sieve."""
+    if hi <= lo:
+        return 0
+    root = math.isqrt(hi)
+    base = np.ones(root + 1, dtype=bool)
+    base[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if base[p]:
+            base[p * p:: p] = False
+    base_primes = np.nonzero(base)[0]
+    count = 0
+    span = 1 << 20
+    for start in range(lo + 1, hi + 1, span):
+        stop = min(start + span, hi + 1)
+        seg = np.ones(stop - start, dtype=bool)
+        for p in base_primes:
+            first = max(p * p, (start + p - 1) // p * p)
+            if first < stop:
+                seg[first - start:: p] = False
+        if start <= 1:
+            seg[: min(2 - start, stop - start)] = False
+        count += int(np.count_nonzero(seg))
+    return count
+
+
 def test_prime_counts(prime_table):
-    assert prime_table.prime_count(10 ** 6) == 78498
-    assert prime_table.prime_count(10) == 4
-    assert prime_table.prime_count(2) == 1
-    assert prime_table.prime_count(1) == 0
+    assert len(prime_table.primes_between(0, 10 ** 6)) == 78498
+    assert len(prime_table.primes_between(0, 10)) == 4
+    assert len(prime_table.primes_between(0, 2)) == 1
+    assert len(prime_table.primes_between(0, 1)) == 0
 
 
 def test_prime_count_beyond_limit_raises(prime_table):
+    limit = prime_table.limit
+    assert len(prime_table.primes_between(0, limit)) == len(prime_table.primes)
     with pytest.raises(ValueError):
-        prime_table.prime_count(prime_table.limit + 1)
+        prime_table.primes_between(0, limit + 1)
 
 
 def test_primes_between(prime_table):
@@ -58,7 +85,7 @@ def test_smallest_prime_factor(prime_table):
 def test_segmented_count_matches_table(prime_table):
     assert segmented_prime_count(0, 10 ** 6) == 78498
     lo, hi = 500_000, 600_000
-    expected = prime_table.prime_count(hi) - prime_table.prime_count(lo)
+    expected = len(prime_table.primes_between(lo, hi))
     assert segmented_prime_count(lo, hi) == expected
     assert segmented_prime_count(10, 10) == 0
 
@@ -318,4 +345,4 @@ def test_sieve_refuses_a_table_beyond_available_memory(monkeypatch):
 
 def test_sieve_skips_the_memory_check_when_unreadable(monkeypatch):
     monkeypatch.setattr(primes, "_mem_available_bytes", lambda: None)
-    assert sieve_primes(100).prime_count(100) == 25
+    assert len(sieve_primes(100).primes) == 25

@@ -124,9 +124,21 @@ def test_build_rejects_step_below_floor(monkeypatch):
     # the floor is checked before numpy is touched, so nothing is allocated
     monkeypatch.setattr(sieve_functions, "np", None)
     for build in (build_sieve_tables, build_buchstab_table):
-        with pytest.raises(ValueError, match=r"must be in \[1e-06, 0.01\]"):
-            build(step=5e-7)
-    assert _grid_step_nodes(MIN_STEP, 14.0) == (10 ** 6, 14 * 10 ** 6 + 1)
+        for step in (5e-7, 1e-6, 2.5e-6):
+            with pytest.raises(ValueError, match=r"must be in \[1e-05, 0.01\], "
+                               r"got .*summation roundoff"):
+                build(step=step)
+    assert _grid_step_nodes(MIN_STEP, 14.0) == (10 ** 5, 14 * 10 ** 5 + 1)
+
+
+def test_every_lag_down_to_the_floor_passes_its_build_checks():
+    # lags 100 .. 10^5 (steps 0.01 .. 1e-5); every build check must hold
+    lags = sorted({round(10 ** (2 + k / 8)) for k in range(25)})
+    assert lags[0] == 100 and lags[-1] == 10 ** 5
+    for lag in lags:
+        ftable = build_sieve_tables(step=1.0 / lag)
+        wtable = build_buchstab_table(step=1.0 / lag)
+        assert len(ftable.s_grid) == len(wtable.u_grid) == 14 * lag + 1
 
 
 # ------------------------------------------- block march vs per-node oracle

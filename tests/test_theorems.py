@@ -5,24 +5,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sievekit.sieve_functions import Sigma2DomainError
 from sievekit.theorems import (
     GAMMA12_THETA_MAX,
-    GAMMA_SPEC,
+    GAMMA_BREAKPOINTS,
+    GAMMA_PIECES,
     HypothesisViolationError,
     InfeasibilityError,
     WeightedSieveParams,
     compute_C,
-    compute_frak_c,
-    compute_H,
-    compute_Hq,
     dartyge_margin,
-    eta_theta,
     find_max_vartheta,
-    find_min_u,
     gamma_theta,
     optimize_beta,
     optimize_gamma12,
@@ -34,10 +28,10 @@ from sievekit.theorems import (
 # ---------------------------------------------------------------- gamma(theta)
 
 def test_gamma_pieces_continuous_exactly():
-    # dataclass validation re-runs the exact Fraction check
-    for i, bp in enumerate(GAMMA_SPEC.breakpoints[1:-1]):
-        a1, b1, c1 = GAMMA_SPEC.pieces[i]
-        a2, b2, c2 = GAMMA_SPEC.pieces[i + 1]
+    assert len(GAMMA_BREAKPOINTS) == len(GAMMA_PIECES) + 1
+    for i, bp in enumerate(GAMMA_BREAKPOINTS[1:-1]):
+        a1, b1, c1 = GAMMA_PIECES[i]
+        a2, b2, c2 = GAMMA_PIECES[i + 1]
         assert Fraction(a1 - b1 * bp, c1) == Fraction(a2 - b2 * bp, c2)
 
 
@@ -68,16 +62,6 @@ def test_gamma_domain():
     assert isinstance(at_bp, Fraction)
     assert at_bp == Fraction(91 * 97 - 89 * 64, 62 * 97)
     assert gamma_theta(Fraction(7, 10)) == Fraction(86 * 10 - 83 * 7, 600)
-
-
-def test_eta_theta():
-    assert eta_theta(0.5) == (91.0 - 44.5) / 62.0
-    # eta's numerator root sits outside the domain; the domain edge stays
-    # strictly positive
-    assert Fraction(91, 89) > Fraction(112, 131)
-    assert eta_theta(112.0 / 131.0 - 1e-9) > 0.0
-    with pytest.raises(ValueError):
-        eta_theta(0.86)  # beyond 112/131
 
 
 # ------------------------------------------------------------------- theorem 2
@@ -231,51 +215,3 @@ def test_dartyge_margin_input_domains(tables, buchstab):
         dartyge_margin(1.0, 0.9926, tables, buchstab)
     with pytest.raises(ValueError):
         dartyge_margin(11.2, 0.9, tables, buchstab)
-
-
-def test_find_min_u(tables, buchstab):
-    assert find_min_u(0.9926, 0.05, tables, buchstab) == pytest.approx(
-        8.15, abs=1e-9)
-
-
-# ---------------------------------------------------------- density constants
-
-def test_compute_Hq():
-    assert compute_Hq(3) == pytest.approx(1.5, abs=1e-15)
-    assert compute_Hq(5) == pytest.approx(1.5, abs=1e-15)
-    assert compute_Hq(13) == pytest.approx(1.1, abs=1e-12)
-    with pytest.raises(ValueError):
-        compute_Hq(2)
-    with pytest.raises(ValueError):
-        compute_Hq(9)
-
-
-def test_compute_H():
-    assert compute_H({5: 0.25}, {5: 0.25}) == pytest.approx(
-        0.78125, abs=1e-15)
-    assert compute_H({}, {}) == 1.0
-    with pytest.raises(HypothesisViolationError):
-        compute_H({5: 0.75}, {})
-    with pytest.raises(ValueError):
-        compute_H({6: 0.1}, {})
-
-
-@given(st.integers(1, 200))
-@settings(max_examples=50, deadline=None)
-def test_compute_H_positive_on_valid_densities(seed):
-    rng = random.Random(seed)
-    primes = [3, 5, 7, 11, 13]
-    g1 = {p: rng.uniform(0.0, 0.49) for p in primes}
-    g2 = {p: rng.uniform(0.0, 0.5 - g1[p] * 0.0) * 0.0 for p in primes}
-    assert compute_H(g1, g2) > 0.0
-
-
-def test_compute_frak_c(prime_table):
-    partial, accelerated = compute_frak_c(10 ** 5, prime_table)
-    assert accelerated == pytest.approx(2.2134598741011673, abs=1e-12)
-    # the acceleration removes the character-sum oscillation
-    _, acc6 = compute_frak_c(10 ** 6, prime_table)
-    assert abs(acc6 - accelerated) < 5e-6
-    assert abs(partial - accelerated) < 5e-2
-    with pytest.raises(ValueError):
-        compute_frak_c(3)
