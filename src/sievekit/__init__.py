@@ -22,8 +22,8 @@ from .experiments import (SHARP, QuadraticWindowStats, SmoothWeight,
                           weighted_sieve_experiment, weil_exhaustive,
                           weil_sum_check, wolke_error_average)
 from .primes import (CongruenceRootSet, Factorization, PrimeTable, factorize,
-                     is_prime, jacobi, multiplicative_suite, rho, roots_mod,
-                     sieve_primes, sqrt_minus_one, x_flat)
+                     is_prime, jacobi, jacobi_table, multiplicative_suite,
+                     rho, roots_mod, sieve_primes, sqrt_minus_one, x_flat)
 from .reports import ExperimentReport, TheoremReport, markdown_summary, to_json
 from .sieve_functions import (BuchstabTable, SieveFunctionTable,
                               Sigma2DomainError, buchstab_w,
@@ -48,7 +48,7 @@ __all__ = [
     "bv_error_average", "c1_integral", "c2_integral",
     "chebyshev_decomposition", "compute_C", "dartyge_margin",
     "dartyge_survey", "eval_F", "eval_f", "factorize", "find_max_vartheta",
-    "gamma_theta", "gpf_survey", "is_prime", "jacobi",
+    "gamma_theta", "gpf_survey", "is_prime", "jacobi", "jacobi_table",
     "markdown_summary", "multiplicative_suite",
     "optimize_beta", "optimize_gamma12", "phi_sifted", "phi_sifted_coprime",
     "quadratic_window_stats", "rho", "roots_mod",

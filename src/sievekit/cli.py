@@ -273,6 +273,7 @@ def _cmd_empirical(args: argparse.Namespace) -> int:
 # plot-data and report
 
 def _cmd_plot_data(args: argparse.Namespace) -> int:
+    theorems.beta_grid(args.r, args.beta_step)  # refuse before any march
     ftable = build_sieve_tables(step=args.table_step)
     beta_star, _c_star, curve = theorems.optimize_beta(
         args.r, args.alpha, ftable, step=args.beta_step)

@@ -25,8 +25,8 @@ from typing import Iterator
 import numpy as np
 
 from .numerics import integrate_checked
-from .primes import (PrimeTable, is_prime, jacobi, multiplicative_suite, rho,
-                     roots_mod, sieve_primes, sqrt_minus_one_batch,
+from .primes import (PrimeTable, is_prime, jacobi_table, multiplicative_suite,
+                     rho, roots_mod, sieve_primes, sqrt_minus_one_batch,
                      sqrt_minus_one_lifts, x_flat)
 from .reports import ExperimentReport
 from .theorems import WeightedSieveParams, gamma_theta
@@ -601,8 +601,20 @@ def bt_exception_count(X: int, theta: float, w: SmoothWeight,
 # ---------------------------------------------------------------------------
 # character-sum and square-sieve checks
 
-def _literal_weil_sum(m: int, pq: int) -> int:
-    return sum(jacobi((m * l * l - 1) % pq, pq) for l in range(pq))
+WEIL_CHUNK = 2 ** 14  # ell per gather: keeps the index arrays near 0.1 MB
+
+
+def _literal_weil_sum(m: int, pq: int, chi: np.ndarray) -> int:
+    """sum_l (m l^2 - 1 | pq) over l mod pq, read from chi = jacobi_table(pq).
+
+    With m reduced mod pq first, m l^2 < pq^3 <= 8e15 stays inside int64.
+    """
+    m %= pq
+    total = 0
+    for lo in range(0, pq, WEIL_CHUNK):
+        ell = np.arange(lo, min(lo + WEIL_CHUNK, pq), dtype=np.int64)
+        total += int(chi[(m * ell * ell - 1) % pq].sum())
+    return total
 
 
 def weil_sum_check(p: int, q: int, m: int) -> ExperimentReport:
@@ -614,7 +626,7 @@ def weil_sum_check(p: int, q: int, m: int) -> ExperimentReport:
     pq = p * q
     if pq > 10 ** 5:
         raise ValueError(f"pq must be <= 1e5, got {pq}")
-    S = _literal_weil_sum(m, pq)
+    S = _literal_weil_sum(m, pq, jacobi_table(pq))
     bound = math.sqrt(pq)
     degenerate = math.gcd(m, pq) > 1
     ok = degenerate or abs(S) <= bound
@@ -702,10 +714,11 @@ def weil_exhaustive(max_pq: int) -> ExperimentReport:
     direct_checks = 0
     for p, q in checked:
         pq = p * q
+        chi = jacobi_table(pq)
         for m in (1, 2, pq - 1):
             if math.gcd(m, pq) > 1:
                 continue
-            direct = _literal_weil_sum(m, pq)
+            direct = _literal_weil_sum(m, pq, chi)
             split = int(sums[p][m % p]) * int(sums[q][m % q])
             if direct != split:
                 raise ArithmeticError(

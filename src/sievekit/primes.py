@@ -221,6 +221,33 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+def jacobi_table(n: int) -> np.ndarray:
+    """Jacobi symbols (a/n) for every a in [0, n), as an int8 array.
+
+    jacobi is called only at the primes p < n.  Every composite a takes
+    (spf(a)/n) (a'/n) with a' = a / spf(a), by complete multiplicativity in
+    the top argument, so n itself is never factored.  Composites are filled
+    in doubling blocks [2^k, 2^(k+1)): a' <= a/2 and spf(a) <= a/2 lie in
+    earlier blocks, which are complete by then.
+    """
+    if n <= 0 or n % 2 == 0:
+        raise ValueError(f"modulus must be odd positive, got {n}")
+    tab = _SMALL_TABLE if n <= _SMALL_TABLE.limit else sieve_primes(n)
+    chi = np.zeros(n, dtype=np.int8)
+    chi[1 % n] = 1  # (1/n) = 1, and (0/n) = 0 except (0/1) = 1
+    for p in map(int, tab.primes[:np.searchsorted(tab.primes, n)]):
+        chi[p] = jacobi(p, n)
+    lo = 4
+    while lo < n:
+        a = np.arange(lo, min(2 * lo, n))
+        spf = tab.smallest_prime_factor[lo:lo + len(a)]
+        composite = spf != a
+        a, spf = a[composite], spf[composite]
+        chi[a] = chi[spf] * chi[a // spf]
+        lo *= 2
+    return chi
+
+
 def sqrt_minus_one(p: int) -> int:
     """Smaller square root of -1 modulo a prime p = 1 (mod 4).
 

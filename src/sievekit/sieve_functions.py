@@ -206,7 +206,11 @@ def buchstab_w(u: float, table: BuchstabTable) -> float:
 
 
 def selberg_sigma2(s: float) -> float:
-    """Dimension-2 Selberg lower-bound function on its only defined branch."""
+    """1/sigma_2(s) = 8 e^(2 gamma) / s^2 on its only branch, 0 < s <= 2.
+
+    This is the dimension-2 Selberg upper-bound sieve factor in the
+    Ankeny-Onishi normalization, where sigma_2(s) = s^2 / (8 e^(2 gamma)).
+    """
     if not 0.0 < s <= 2.0:
         raise Sigma2DomainError(
             f"sigma2 branch is defined only for 0 < s <= 2, got s={s}; "

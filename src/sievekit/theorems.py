@@ -287,11 +287,9 @@ def compute_C(params: WeightedSieveParams,
         notes="C > 0 certifies the weighted-sieve lower bound at (alpha, beta, r)")
 
 
-def optimize_beta(r: int, alpha: float,
-                  table: SieveFunctionTable,
-                  step: float = 1e-3
-                  ) -> tuple[float, float, list[tuple[float, float]]]:
-    """Scan C over the beta grid [0.41, 0.68); return maximizer and curve."""
+def beta_grid(r: int, step: float) -> list[float]:
+    """The beta grid of optimize_beta: multiples of step in [0.41, 0.68)
+    above 2/(r+1).  Raises ValueError on a grid it cannot scan."""
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     if not step > 0.0:
@@ -300,7 +298,6 @@ def optimize_beta(r: int, alpha: float,
     if span > MAX_BETA_POINTS:
         raise ValueError(f"a beta grid at step {step} has about {span:.0f} "
                          f"points, more than the cap of {MAX_BETA_POINTS}")
-    delta_root = solve_delta()
     eta_floor = 2.0 / (r + 1)
     n_lo = math.ceil(0.41 / step)
     n_hi = math.ceil(BETA_HYPOTHESIS_MAX / step)
@@ -309,6 +306,16 @@ def optimize_beta(r: int, alpha: float,
     if not betas:
         raise ValueError(f"the beta grid at step {step} has no point above "
                          f"2/(r+1) = {eta_floor:g}")
+    return betas
+
+
+def optimize_beta(r: int, alpha: float,
+                  table: SieveFunctionTable,
+                  step: float = 1e-3
+                  ) -> tuple[float, float, list[tuple[float, float]]]:
+    """Scan C over the beta grid [0.41, 0.68); return maximizer and curve."""
+    betas = beta_grid(r, step)
+    delta_root = solve_delta()
 
     def point(beta: float) -> float:
         params = WeightedSieveParams(alpha=alpha, beta=beta,

@@ -377,11 +377,17 @@ def test_config_missing_file_is_io_error(capsys):
     ("--beta-step 1e-9", "a beta grid at step 1e-09 has about 270000000 "
                          "points, more than the cap of 10000"),
 ])
-def test_plot_data_refuses_a_beta_grid_it_cannot_scan(argv, message, capsys):
+def test_plot_data_refuses_a_beta_grid_it_cannot_scan(argv, message, capsys,
+                                                      monkeypatch):
+    marches = []
+    build = cli.build_sieve_tables
+    monkeypatch.setattr(cli, "build_sieve_tables",
+                        lambda **kw: marches.append(kw) or build(**kw))
     code, out, err = run_cli(capsys, "plot-data", "c-beta", "--table-step",
                              "0.01", *argv.split())
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
+    assert marches == []  # the grid is refused before F/f is marched
 
 
 def test_plot_data_c_beta(capsys):

@@ -13,8 +13,9 @@ window experiments and surveys at X = 2e4 (A_d also with gcd(d, ell) > 1,
 bt also at theta = 0.9), bt at X = 1e5 and Q_ell with its oracle at
 X = 3e5 under smooth weights, the Chebyshev decomposition and
 two surveys at X = 3e5 (large enough that the batched strike pass spans
-several chunks), the exhaustive Weil scan and one literal Jacobi-symbol
-sum, and ``verify all``.
+several chunks), the exhaustive Weil scan, literal Jacobi-symbol sums at
+pq near 1e5 (one with gcd(m, pq) > 1) and at pq = 15 with m = -1 and
+m = 10^30, and ``verify all``.
 
 The digests pin floating-point output of numpy 2.4 on x86-64.  A change
 that alters any of these outputs on purpose must re-record the digests and
@@ -98,6 +99,14 @@ GOLDEN = [
      "e4b5585139b17857e2f0cafb7c886f816e03aa7b1d7d3685a51d3cfb25f09170"),
     ("empirical weil --p 241 --q 409 --m 60898", 0,
      "37791cf8c142260f295664917c3d4b41ad5c0d8bd41431bc0a655d86e4a40625"),
+    ("empirical weil --p 251 --q 347 --m 29167", 0,
+     "7922bcdefc43ae517cbf9b82b7c8ea14d20e3f42d720ebeeea6be8827f69509c"),
+    ("empirical weil --p 251 --q 347 --m 1255", 0,
+     "3627cba9f46805b2501643241158f1d0aa43bdd0991f7be9ee105730579691e5"),
+    ("empirical weil --p 3 --q 5 --m -1", 0,
+     "649bc8439f12b28a8911b5ffaaa6fa3aa76088448d63b803b1f5295825fcb5af"),
+    ("empirical weil --p 3 --q 5 --m 100000000000000000000000000000", 0,
+     "1931a7cf8bec434f23b1ae11de99e130db17e822dcf0f9540dbb15c8ae66aa4a"),
     ("verify all", 0,
      "2242d8e2072dde54193e80cef89542c1399ff954d7b0c0894e39e68f9bef96fb"),
 ]

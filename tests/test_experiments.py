@@ -40,6 +40,7 @@ from sievekit.experiments import (
 from sievekit.primes import (
     factorize,
     jacobi,
+    jacobi_table,
     multiplicative_suite,
     rho,
     roots_mod,
@@ -874,16 +875,32 @@ def test_weil_sum_check_small(prime_table):
     assert rep.aggregates["S"] == float(brute)
 
 
-def test_weil_literal_sums_make_one_jacobi_call_per_term(monkeypatch):
-    calls = []
-    real = experiments.jacobi
-    monkeypatch.setattr(experiments, "jacobi",
-                        lambda a, n: calls.append(n) or real(a, n))
+def _weil_sum_reference(m, pq):
+    return sum(jacobi((m * ell * ell - 1) % pq, pq) for ell in range(pq))
+
+
+# 131 * 137 = 17947 spans two chunks of ell; m = 10^30 needs reduction
+# before int64, and m = 0, pq, p are degenerate.
+@pytest.mark.parametrize("p,q", [(3, 5), (7, 11), (131, 137)])
+def test_literal_weil_sum_matches_reference(p, q):
+    pq = p * q
+    chi = jacobi_table(pq)
+    for m in (-1, 0, 1, p, pq - 1, pq, pq + 1, 10 ** 30):
+        assert experiments._literal_weil_sum(m, pq, chi) == \
+            _weil_sum_reference(m, pq), m
+
+
+def test_weil_literal_sums_read_one_jacobi_table_per_modulus(monkeypatch):
+    moduli = []
+    real = experiments.jacobi_table
+    monkeypatch.setattr(experiments, "jacobi_table",
+                        lambda n: moduli.append(n) or real(n))
     weil_sum_check(3, 5, 1)
-    assert calls == [15] * 15
-    calls.clear()
-    rep = weil_exhaustive(15)
-    assert calls == [15] * (15 * rep.counters["direct_checks"])
+    assert moduli == [15]
+    moduli.clear()
+    rep = weil_exhaustive(400)
+    assert rep.counters["direct_checks"] == 12
+    assert moduli == [15, 21, 33, 391]  # first three pairs and the last
 
 
 def test_weil_sum_degenerate(prime_table):

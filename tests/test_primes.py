@@ -14,6 +14,7 @@ from sievekit.primes import (
     factorize,
     is_prime,
     jacobi,
+    jacobi_table,
     multiplicative_suite,
     rho,
     roots_mod,
@@ -183,6 +184,29 @@ def test_jacobi_multiplicative(a, n):
 def test_jacobi_rejects_even_modulus():
     with pytest.raises(ValueError):
         jacobi(3, 10)
+    for n in (0, -3, 10):
+        with pytest.raises(ValueError):
+            jacobi_table(n)
+
+
+# 315 = 3^2 5 7 has a square factor; 87097 = 251 * 347 and 99991 (prime)
+# sit below the small table's limit, 198907 = 443 * 449 above it.
+@pytest.mark.parametrize("n", [1, 3, 15, 315, 15015, 99991, 87097, 198907])
+def test_jacobi_table_matches_jacobi_at_every_residue(n):
+    chi = jacobi_table(n)
+    assert chi.dtype == np.int8
+    assert chi.tolist() == [jacobi(a, n) for a in range(n)]
+
+
+def test_jacobi_table_calls_jacobi_only_at_primes(monkeypatch):
+    firsts = []
+    real = primes.jacobi
+    monkeypatch.setattr(primes, "jacobi",
+                        lambda a, n: firsts.append(a) or real(a, n))
+    for n in (15015, 198907):
+        firsts.clear()
+        jacobi_table(n)
+        assert firsts == [p for p in range(n) if is_prime(p)]
 
 
 def test_sqrt_minus_one_examples():
