@@ -7,13 +7,14 @@ striking those progressions (plus n odd for ell = 2) peels off every prime
 factor up to 2X.  What remains per n is either 1 or a single prime > 2X,
 because two such factors would exceed n^2 + 1.
 
-The sieve runs in two parts split at a cutoff ell_0.  Primes ell <= ell_0
-have long progressions and go through the per-ell generator
-iter_quadratic_strikes; primes above ell_0 hit few n each and go through
-strike_large_primes, which finds their roots in one vectorized call per
-chunk and scatters the hits with unbuffered ufunc.at updates.  The
-generator alone also serves the weighted sieve's own pass below X^beta and
-the oracle tests.
+Both window consumers, quadratic_window_stats and chebyshev_decomposition,
+split the sieve at ell_0 = sqrt(2X).  Primes ell <= ell_0 have long
+progressions and go through the per-ell generator iter_quadratic_strikes;
+primes above ell_0 go through strike_large_primes, which finds their roots
+in one vectorized call per chunk and scatters the hits with unbuffered
+ufunc.at updates.  Above ell_0 every ell^k with k >= 2 exceeds 2X, so it
+hits at most 2 n.  The generator alone also serves the weighted sieve's own
+pass below X^beta and the oracle tests.
 """
 
 from __future__ import annotations
@@ -303,7 +304,7 @@ def iter_quadratic_strikes(X: int, table: PrimeTable,
     with ell <= ell_max (default 2X), in ascending (ell, k) order.  Index
     arrays address n = X + 1 + i; the smaller root's progression comes
     first, each in ascending n.  The window consumers run this per-ell loop
-    up to their cutoff ell_0 and strike_large_primes above it; the weighted
+    up to ell_0 = sqrt(2X) and strike_large_primes above it; the weighted
     sieve's pass below X^beta and the oracle tests run it alone.
     """
     _check_window(X)
@@ -459,6 +460,14 @@ def quadratic_window_stats(X: int, table: PrimeTable) -> QuadraticWindowStats:
 # ---------------------------------------------------------------------------
 # Chebyshev-style decomposition of sum Lambda(n) g(n/X) log(n^2 + 1)
 
+def _left_fold(start: float, terms: np.ndarray) -> float:
+    """start + terms[0] + terms[1] + ..., added left to right as += does.
+
+    np.cumsum is a sequential accumulate, unlike the pairwise np.sum.
+    """
+    return float(np.cumsum(np.concatenate(([start], terms)))[-1])
+
+
 def chebyshev_decomposition(X: int, vartheta: float, w: SmoothWeight,
                             table: PrimeTable) -> ExperimentReport:
     """Dual evaluation of H(X) plus its split into four modulus ranges.
@@ -478,7 +487,6 @@ def chebyshev_decomposition(X: int, vartheta: float, w: SmoothWeight,
             f"X = {X} has no prime power at or below X^flat = {flat:.6g}, "
             f"so the H1 main-term model is 0")
     lo = X + 1
-    nf = np.arange(lo, 2 * X + 1, dtype=np.int64).astype(np.float64)
 
     # Lambda(n) g(n/X) over the window (prime-power n only)...
     lam_w = np.zeros(X, dtype=np.float64)
@@ -496,10 +504,19 @@ def chebyshev_decomposition(X: int, vartheta: float, w: SmoothWeight,
                 lam_w[power - lo] = math.log(p) * weight_eval(w, power / X)
             power *= p
 
-    H_direct = float(np.sum(lam_w * np.log(nf * nf + 1.0)))
+    # log(n^2 + 1) built in place and freed before the strike pass
+    terms = np.arange(lo, 2 * X + 1, dtype=np.float64)
+    terms *= terms
+    terms += 1.0
+    np.log(terms, out=terms)
+    terms *= lam_w
+    H_direct = float(np.sum(terms))
+    del terms
 
     level = X ** vartheta
-    rem = np.arange(lo, 2 * X + 1, dtype=np.int64) ** 2 + 1
+    rem = np.arange(lo, 2 * X + 1, dtype=np.int64)
+    rem *= rem
+    rem += 1
     H_dual = 0.0
     H = [0.0, 0.0, 0.0, 0.0]
     model_sum = 0.0
@@ -520,30 +537,51 @@ def chebyshev_decomposition(X: int, vartheta: float, w: SmoothWeight,
         else:
             H[3] += s_g
 
-    cutoff = max(2, X // 3)
+    cutoff = max(2, math.isqrt(2 * X))  # the split quadratic_window_stats uses
     for ell, k, q, idx in iter_quadratic_strikes(X, table, ell_max=cutoff):
         rem[idx] //= ell
         fold(ell, k, q, float(np.sum(lam_w[idx])), float(np.sum(g_p[idx])))
 
     def visit(ells, levels):
-        # Bit-identical to the per-ell loop: above X // 3 a progression mod
-        # ell^k has at most 3 of the X window entries, so level 1 has at
-        # most 6 hits per ell and deeper levels (ell^k > X) at most 2.  For
-        # 7 or fewer entries np.sum is a left fold from 0.0, which is what
-        # bincount does per slot in hit order, and level 1 is laid out in
-        # the generator's order; for 2 entries any order gives the same sum.
+        # Bit-identical to the per-ell loop.  Each level keeps the slots in
+        # ascending order, so the hits of one ell^k are one contiguous run
+        # of idx; the runs of one length gather into a C-contiguous
+        # (rows, length) matrix, and each row of np.sum(axis=1) is bitwise
+        # the 1-D np.sum of that run.  Level 1 runs are in the generator's
+        # order.  Deeper runs need not be, but above sqrt(2X) ell^k > 2X
+        # for k >= 2, so they hold at most 2 hits, which add alike in any
+        # order.  q > ell > X^flat, so no term lands in H1 or the model sum.
+        nonlocal H_dual
         m = len(ells)
-        sums = [(np.bincount(slot, minlength=m).tolist(),
-                 np.bincount(slot, lam_w[idx], minlength=m).tolist(),
-                 np.bincount(slot, g_p[idx], minlength=m).tolist())
-                for slot, idx in levels]
-        for j, ell in enumerate(ells.tolist()):
-            q = ell
-            for k, (hits, sum_lam, sum_g) in enumerate(sums, 1):
-                if not hits[j]:
-                    break
-                fold(ell, k, q, sum_lam[j], sum_g[j])
-                q *= ell
+        log_ell = np.array([math.log(ell) for ell in ells.tolist()])
+        # one term per (ell, k), keyed slot * depth + k - 1 for the fold
+        # order, with the index of the H it goes to
+        depth = len(levels)
+        keys, to_H, lam_terms, g_terms = [], [], [], []
+        for k, (slot, idx) in enumerate(levels, 1):
+            counts = np.bincount(slot, minlength=m)
+            starts = np.cumsum(counts) - counts
+            sum_lam = np.zeros(m)
+            sum_g = np.zeros(m)
+            # a set, not np.unique: that imports numpy.ma mid-pass, and the
+            # new module objects pin freed heap
+            for run in sorted(set(counts.tolist()) - {0}):
+                rows = np.flatnonzero(counts == run)
+                at = idx[starts[rows, None] + np.arange(run)]
+                sum_lam[rows] = np.sum(lam_w[at], axis=1)
+                sum_g[rows] = np.sum(g_p[at], axis=1)
+            hit = np.flatnonzero(counts)
+            keys.append(hit * depth + k - 1)
+            to_H.append(np.where(ells[hit] <= level, 1, 2) if k == 1
+                        else np.full(len(hit), 3))
+            lam_terms.append(log_ell[hit] * sum_lam[hit])
+            g_terms.append(log_ell[hit] * sum_g[hit])
+        order = np.argsort(np.concatenate(keys), kind="stable")
+        to_H = np.concatenate(to_H)[order]
+        g_terms = np.concatenate(g_terms)[order]
+        H_dual = _left_fold(H_dual, np.concatenate(lam_terms)[order])
+        for j in (1, 2, 3):
+            H[j] = _left_fold(H[j], g_terms[to_H == j])
 
     strike_large_primes(X, table, cutoff, rem, visit)
     tail = rem > 1
@@ -658,14 +696,27 @@ def weil_prime_sums(p: int) -> np.ndarray:
     """
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError(f"need an odd prime, got {p}")
+    leg, A, B = _legendre_sums(p)
+    out = A + B * leg
+    out[0] = p * leg[p - 1]
+    return out
+
+
+def _legendre_sums(p: int) -> tuple[np.ndarray, int, int]:
+    """The Legendre table mod the odd prime p, and A, B of weil_prime_sums."""
     leg = np.full(p, -1, dtype=np.int64)
     leg[0] = 0
     leg[(np.arange(1, p // 2 + 1, dtype=np.int64) ** 2) % p] = 1
     A = int(leg.sum())  # u -> u - 1 permutes the residues too
     B = int(leg[1:] @ leg[:-1])  # the u = 0 term has leg(0) = 0
-    out = A + B * leg
-    out[0] = p * leg[p - 1]
-    return out
+    return leg, A, B
+
+
+def _weil_peak(p: int) -> int:
+    """max |S_p(a)| over a >= 1 without the row: S_p(a) = A + leg(a) B, and
+    both leg(a) = 1 and leg(a) = -1 occur there for an odd prime p."""
+    _, A, B = _legendre_sums(p)
+    return max(abs(A + B), abs(A - B))
 
 
 def weil_exhaustive(max_pq: int) -> ExperimentReport:
@@ -687,18 +738,12 @@ def weil_exhaustive(max_pq: int) -> ExperimentReport:
                 break
             pairs.append((p, q))
     checked = pairs[:3] + pairs[-1:]
-    # One row at a time: all rows together hold sum(p) int64s, ~1.6 GB at
-    # max_pq = 2e5.  Each prime keeps max |S_p(a)| over a >= 1, whose exact
-    # integer products are the worst |S| of each pair; only the primes of
-    # the checked pairs keep their row.
-    kept = {v for pair in checked for v in pair}
-    peak: dict[int, int] = {}
-    sums: dict[int, np.ndarray] = {}
-    for v in dict.fromkeys(v for pair in pairs for v in pair):
-        row = weil_prime_sums(v)
-        peak[v] = int(np.max(np.abs(row[1:])))
-        if v in kept:
-            sums[v] = row
+    # Each prime keeps max |S_p(a)| over a >= 1, whose exact integer
+    # products are the worst |S| of each pair.  That peak needs A and B but
+    # no row: all rows together hold sum(p) int64s, ~1.6 GB at max_pq = 2e5.
+    # Rows are built for the checked pairs and to count the bad m alone.
+    peak = {v: _weil_peak(v) for v in {v for pair in pairs for v in pair}}
+    sums = {v: weil_prime_sums(v) for pair in checked for v in pair}
     violations = 0
     m_total = 0
     worst_ratio = 0.0

@@ -13,7 +13,9 @@ window experiments and surveys at X = 2e4 (A_d also with gcd(d, ell) > 1,
 bt also at theta = 0.9), bt at X = 1e5 and Q_ell with its oracle at
 X = 3e5 under smooth weights, the Chebyshev decomposition and
 two surveys at X = 3e5 (large enough that the batched strike pass spans
-several chunks), the exhaustive Weil scan, literal Jacobi-symbol sums at
+several chunks), the Chebyshev decomposition at the smallest valid window
+X = 650 and at X = 100003 under both smooth weights (one at vartheta = 0.6),
+the exhaustive Weil scan, literal Jacobi-symbol sums at
 pq near 1e5 (one with gcd(m, pq) > 1) and at pq = 15 with m = -1 and
 m = 10^30, and ``verify all``.
 
@@ -91,6 +93,12 @@ GOLDEN = [
      "1b0cf8c83b82729675b27b26182de19435b322131146333d55930dd89e476866"),
     ("empirical chebyshev --X 300000", 0,
      "5da0d7a0578616e2978f97391e5e2b102c6d0c762a770972be8f4d970ce0c552"),
+    ("empirical chebyshev --X 650", 0,
+     "96ef6fb97e695ac081b6567b74304061ba88a9dfb5655a4125d616e63dd99935"),
+    ("empirical chebyshev --X 100003 --weight plateau", 0,
+     "c9f19d332b39014660a5ba0955544da170ea93d178010ff556cdeb1acf6e087b"),
+    ("empirical chebyshev --X 100003 --weight bump --vartheta 0.6", 0,
+     "0ae15fd79f58a05db3f89d1a5f67e11e549a36809c2bc3697ea9cb6ef97d4d02"),
     ("empirical dartyge --X 300000", 0,
      "f42974fe6b5a631ea4135d3318a43b5c9c04ae2250aa7135a386b076b2cd17b4"),
     ("empirical almost-prime --X 300000", 0,

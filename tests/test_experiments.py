@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -400,17 +403,19 @@ def _generator_chebyshev(X, vartheta, w, table, flat):
 
 
 def _record_chunks(monkeypatch):
-    """Per batched pass: [visited chunks, most level-1 hits of one prime]."""
+    """Per batched pass: [visited chunks, most level-1 hits of one prime,
+    ell_min, most hits of one prime on a level k >= 2]."""
     passes = []
     real = experiments.strike_large_primes
 
     def recorded(X, table, ell_min, rem, visit):
-        passes.append([0, 0])
+        passes.append([0, 0, ell_min, 0])
 
         def visit_recorded(ells, levels):
+            most = [int(np.bincount(slot).max()) for slot, _ in levels]
             passes[-1][0] += 1
-            passes[-1][1] = max(passes[-1][1],
-                                int(np.bincount(levels[0][0]).max()))
+            passes[-1][1] = max(passes[-1][1], most[0])
+            passes[-1][3] = max([passes[-1][3], *most[1:]])
             visit(ells, levels)
         real(X, table, ell_min, rem, visit_recorded)
     monkeypatch.setattr(experiments, "strike_large_primes", recorded)
@@ -488,9 +493,99 @@ def test_chebyshev_matches_generator_across_chunks(prime_table, monkeypatch):
     monkeypatch.setattr(experiments, "STRIKE_CHUNK_HITS", 16)
     _assert_chebyshev_matches_generator(20001, prime_table, PLATEAU)
     assert passes[0][0] >= 2 and passes[1][0] > 100
-    # np.sum is a left fold only up to 7 entries; the cutoff keeps each
-    # prime's level-1 hits at or below 6, whatever the window holds
-    assert max(most for _, most in passes) == 6
+    # the batched part starts above sqrt(2X), as in quadratic_window_stats
+    assert [ell_min for _, _, ell_min, _ in passes] == [
+        math.isqrt(2 * SEVERAL_CHUNKS_X), math.isqrt(2 * 20001)]
+    # a level-1 run above 128 entries takes np.sum's pairwise branch...
+    assert passes[0][1] > 128
+    # ...while a deeper level holds at most 2 entries per prime
+    assert max(deep for _, _, _, deep in passes) <= 2
+    assert passes[0][3] >= 1
+
+
+def _window_weights(X, w, table):
+    """lam_w = Lambda(n) g(n/X) and g_p = g(p/X) over the window."""
+    lo = X + 1
+    lam_w = np.zeros(X, dtype=np.float64)
+    g_p = np.zeros(X, dtype=np.float64)
+    p_win = table.primes_between(X, 2 * X)
+    g_vals = w.values(p_win.astype(np.float64) / X)
+    lam_w[p_win - lo] = np.log(p_win.astype(np.float64)) * g_vals
+    g_p[p_win - lo] = g_vals
+    for p in map(int, table.primes_between(1, math.isqrt(2 * X))):
+        power = p * p
+        while power <= 2 * X:
+            if power > X:
+                lam_w[power - lo] = math.log(p) * weight_eval(w, power / X)
+            power *= p
+    return lam_w, g_p
+
+
+@pytest.mark.parametrize("X,w", [(SEVERAL_CHUNKS_X, SHARP), (20001, PLATEAU)])
+def test_batched_chebyshev_terms_match_generator(prime_table, monkeypatch, X,
+                                                 w):
+    # An ulp of one term lies far below an ulp of the H it joins, and two
+    # swapped terms seldom change a rounded sum, so the aggregates can hide
+    # a misrounded or misplaced term.  The batched pass hands each
+    # chunk's terms to four left folds (H_dual, H2, H3, H4); together they
+    # must be the per-ell loop's terms above the cutoff, in its order.
+    folds = []
+    real = experiments._left_fold
+
+    def recorded(start, terms):
+        folds.append(terms.tolist())
+        return real(start, terms)
+    monkeypatch.setattr(experiments, "_left_fold", recorded)
+    chebyshev_decomposition(X, 0.847, w, prime_table)
+    lam_w, g_p = _window_weights(X, w, prime_table)
+    want = [[], [], [], []]
+    for ell, k, _q, idx in iter_quadratic_strikes(X, prime_table):
+        if ell <= math.isqrt(2 * X):
+            continue
+        log_ell = math.log(ell)
+        want[0].append(log_ell * float(np.sum(lam_w[idx])))
+        part = 3 if k > 1 else 1 if ell <= X ** 0.847 else 2
+        want[part].append(log_ell * float(np.sum(g_p[idx])))
+    assert [sum(folds[j::4], []) for j in range(4)] == want
+    assert min(map(len, want)) > 0
+
+
+def test_row_sums_are_the_one_dimensional_sums():
+    # The batched Chebyshev fold sums each prime's level-1 run as a row of
+    # one (rows, L) matrix; the per-ell loop sums it as a 1-D array.  Runs
+    # above 8 entries take numpy's pairwise branch, and above 128 its
+    # recursion, so this pins the order of np.sum(axis=1) on those rows.
+    rng = np.random.default_rng(13)
+    for run in [*range(1, 301), 500, 1000, 2345, 5000]:
+        mat = rng.random((1 + run % 11, run)) * 14.0
+        mat[rng.random(mat.shape) < 0.9] = 0.0  # mostly zeros, as lam_w
+        rows = np.sum(mat, axis=1)
+        for i, row in enumerate(mat):
+            assert rows[i] == np.sum(row.copy()), (run, i)
+
+
+def test_second_chebyshev_imports_nothing():
+    # A module imported mid-pass (np.unique loads numpy.ma) pins freed heap
+    # and raises the peak RSS of a long session; a fresh interpreter shows
+    # what the passes import.
+    script = """
+import sys
+import sievekit as sk
+table = sk.sieve_primes(2 * 30011)
+sk.quadratic_window_stats(30011, table)
+for X in (30011, 20011):
+    before = set(sys.modules)
+    sk.chebyshev_decomposition(X, 0.847, sk.SHARP, table)
+    print(X, sorted(set(sys.modules) - before))
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        experiments.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["30011 []", "20011 []"]
 
 
 @pytest.mark.parametrize("X", [300, 2000])
@@ -836,6 +931,12 @@ def test_weil_prime_sums_at_zero():
         assert weil_prime_sums(p)[0] == p * jacobi(p - 1, p)
 
 
+def test_weil_peak_matches_the_row():
+    for p in sieve_primes(2000).primes.tolist()[1:]:
+        assert experiments._weil_peak(p) == \
+            int(np.max(np.abs(weil_prime_sums(p)[1:]))), p
+
+
 @pytest.mark.parametrize("p", [2, 9, 1])
 def test_weil_prime_sums_rejects_non_odd_prime(p):
     with pytest.raises(ValueError):
@@ -845,7 +946,8 @@ def test_weil_prime_sums_rejects_non_odd_prime(p):
 def test_weil_exhaustive_counts_violations(monkeypatch):
     # Inflate S_p(a) for 3 <= a <= p - 2, residues that the literal checks
     # at m = 1, 2, pq - 1 never read, so some pairs break the bound; the
-    # count must equal a per-m count over the coprime m < pq.
+    # count must equal a per-m count over the coprime m < pq.  The peaks
+    # come without rows, so they are inflated alike.
     real = experiments.weil_prime_sums
 
     def inflated(p):
@@ -853,6 +955,8 @@ def test_weil_exhaustive_counts_violations(monkeypatch):
         row[3:p - 1] *= 7
         return row
     monkeypatch.setattr(experiments, "weil_prime_sums", inflated)
+    monkeypatch.setattr(experiments, "_weil_peak",
+                        lambda p: int(np.max(np.abs(inflated(p)[1:]))))
     rep = weil_exhaustive(400)
     want, worst = 0, 0.0
     for p, q in ((p, q) for p in (3, 5, 7, 11, 13, 17, 19)
