@@ -10,11 +10,14 @@ because two such factors would exceed n^2 + 1.
 Both window consumers, quadratic_window_stats and chebyshev_decomposition,
 split the sieve at ell_0 = sqrt(2X).  Primes ell <= ell_0 have long
 progressions and go through the per-ell generator iter_quadratic_strikes;
-primes above ell_0 go through strike_large_primes, which finds their roots
-in one vectorized call per chunk and scatters the hits with unbuffered
-ufunc.at updates.  Above ell_0 every ell^k with k >= 2 exceeds 2X, so it
-hits at most 2 n.  The generator alone also serves the weighted sieve's own
-pass below X^beta and the oracle tests.
+the consumers write each yield through strided views of its one or two
+progressions (_progression_slices) rather than gathering it.  Primes above
+ell_0 go through strike_large_primes, which finds their roots in one
+vectorized call per block of ROOT_BLOCK primes and scatters the hits in
+chunks with unbuffered ufunc.at updates.  Above ell_0 every ell^k with
+k >= 2 exceeds 2X, so it hits at most 2 n.  The generator alone also serves
+the weighted sieve's own pass below X^beta, through the same strided views,
+and the oracle tests.
 """
 
 from __future__ import annotations
@@ -302,10 +305,12 @@ def iter_quadratic_strikes(X: int, table: PrimeTable,
 
     Covers every prime power ell^k dividing some n^2 + 1 for n in (X, 2X]
     with ell <= ell_max (default 2X), in ascending (ell, k) order.  Index
-    arrays address n = X + 1 + i; the smaller root's progression comes
-    first, each in ascending n.  The window consumers run this per-ell loop
-    up to ell_0 = sqrt(2X) and strike_large_primes above it; the weighted
-    sieve's pass below X^beta and the oracle tests run it alone.
+    arrays address n = X + 1 + i; they hold one or two progressions of step
+    ell^k, the smaller root's first, each in ascending n, which
+    _progression_slices turns back into basic slices.  The window consumers
+    run this per-ell loop up to ell_0 = sqrt(2X) and strike_large_primes
+    above it; the weighted sieve's pass below X^beta and the oracle tests
+    run it alone.
     """
     _check_window(X)
     lo = X + 1
@@ -334,7 +339,26 @@ def iter_quadratic_strikes(X: int, table: PrimeTable,
             yield ell, k, q, idx
 
 
+def _progression_slices(X: int, q: int, idx: np.ndarray) -> list[slice]:
+    """The window indices idx of one strike yield as basic slices of step q.
+
+    idx is one or two ascending progressions of step q, the first running
+    to the end of the window, so the second (if any) starts at idx[m] with
+    m = ceil((X - idx[0]) / q).  The two are disjoint (r != -r mod an odd
+    ell^k, and ell = 2 has one), so an in-place op on each strided view is
+    the fancy-indexed op on idx.
+    """
+    if not len(idx):
+        return []
+    first = int(idx[0])
+    m = -(-(X - first) // q)
+    if m < len(idx):
+        return [slice(first, None, q), slice(int(idx[m]), None, q)]
+    return [slice(first, None, q)]
+
+
 STRIKE_CHUNK_HITS = 1 << 14   # bound on the hits scattered per chunk
+ROOT_BLOCK = 1 << 14          # primes per sqrt_minus_one_batch call
 
 
 def strike_large_primes(X: int, table: PrimeTable, ell_min: int,
@@ -343,15 +367,17 @@ def strike_large_primes(X: int, table: PrimeTable, ell_min: int,
 
     rem[i] holds n^2 + 1 for n = X + 1 + i with the prime powers up to
     ell_min already divided out; each struck ell^k is divided out in place.
-    The primes go in ascending chunks of at most STRIKE_CHUNK_HITS level-1
-    hits (a single prime may exceed it), with the roots of each chunk from
-    one sqrt_minus_one_batch call.  For each chunk with a hit,
-    visit(ells, levels) is called: levels[k - 1] = (slot, idx) lists the n
-    hit by ell^k, as window indices idx with primes ells[slot].  Level 1 is
-    laid out as the generator yields it: ell-major, the smaller root's
-    progression first, each in ascending n.  Deeper levels keep the entries
-    of the level above that ell still divides.  Two primes can hit the same
-    n, so rem is updated with the unbuffered np.floor_divide.at.
+    The primes ell = 1 (mod 4) are picked out once.  Their roots come from
+    one sqrt_minus_one_batch call per block of ROOT_BLOCK primes, made when
+    the chunks reach the block, so the transients stay small at any X.  The
+    primes go in ascending chunks of at most STRIKE_CHUNK_HITS level-1 hits
+    (a single prime may exceed it), none crossing a block.  For each chunk
+    with a hit, visit(ells, levels) is called: levels[k - 1] = (slot, idx)
+    lists the n hit by ell^k, as window indices idx with primes ells[slot].
+    Level 1 is laid out as the generator yields it: ell-major, the smaller
+    root's progression first, each in ascending n.  Deeper levels keep the
+    entries of the level above that ell still divides.  Two primes can hit
+    the same n, so rem is updated with the unbuffered np.floor_divide.at.
     """
     _check_window(X)
     if ell_min < 2:
@@ -360,16 +386,21 @@ def strike_large_primes(X: int, table: PrimeTable, ell_min: int,
     lo = X + 1
     size = X
     primes = table.primes_between(ell_min, 2 * X)
+    primes = primes[primes % 4 == 1]
     start = 0
     while start < len(primes):
+        if start % ROOT_BLOCK == 0:
+            block = start
+            block_roots = sqrt_minus_one_batch(
+                primes[block:block + ROOT_BLOCK])
         # each progression mod ell hits at most X // ell + 1 n, and a
-        # chunk's first prime has the most hits
+        # chunk's first prime has the most hits; no chunk leaves its block
         most = 2 * (X // int(primes[start]) + 1)
-        stop = start + max(1, STRIKE_CHUNK_HITS // most)
+        stop = min(start + max(1, STRIKE_CHUNK_HITS // most),
+                   block + ROOT_BLOCK)
         ells = primes[start:stop]
-        ells = ells[ells % 4 == 1]
+        roots = block_roots[start - block:stop - block]
         start = stop
-        roots = sqrt_minus_one_batch(ells)
         step = np.repeat(ells, 2)
         first = np.empty(len(step), dtype=np.int64)
         first[0::2] = (roots - lo) % ells
@@ -422,12 +453,13 @@ def quadratic_window_stats(X: int, table: PrimeTable) -> QuadraticWindowStats:
     big_omega = np.zeros(X, dtype=np.int16)
     p_plus = np.ones(X, dtype=np.int64)
     cutoff = max(2, math.isqrt(2 * X))  # progressions above are short
-    for ell, k, _q, idx in iter_quadratic_strikes(X, table, ell_max=cutoff):
-        rem[idx] //= ell
-        big_omega[idx] += 1
-        if k == 1:
-            omega[idx] += 1
-        p_plus[idx] = ell
+    for ell, k, q, idx in iter_quadratic_strikes(X, table, ell_max=cutoff):
+        for s in _progression_slices(X, q, idx):
+            rem[s] //= ell
+            big_omega[s] += 1
+            if k == 1:
+                omega[s] += 1
+            p_plus[s] = ell
 
     one = np.int16(1)  # a Python int would take ufunc.at's slow path
 
@@ -441,11 +473,12 @@ def quadratic_window_stats(X: int, table: PrimeTable) -> QuadraticWindowStats:
 
     strike_large_primes(X, table, cutoff, rem, visit)
     tail = rem > 1
-    if not bool(np.all(rem[tail] > 2 * X)):
+    if np.any(tail & (rem <= 2 * X)):
         raise ArithmeticError("leftover cofactor is not a prime beyond 2X")
-    omega[tail] += 1
-    big_omega[tail] += 1
-    p_plus[tail] = rem[tail]
+    # dense masked updates: a boolean gather would copy every leftover
+    omega += tail
+    big_omega += tail
+    np.copyto(p_plus, rem, where=tail)
     del rem, tail  # dead from here; freed before spf_n is allocated
     # n is the range X + 1..2X, so a slice: a gather adds an int32 copy
     spf_n = table.smallest_prime_factor[X + 1:2 * X + 1].astype(np.int64)
@@ -539,7 +572,8 @@ def chebyshev_decomposition(X: int, vartheta: float, w: SmoothWeight,
 
     cutoff = max(2, math.isqrt(2 * X))  # the split quadratic_window_stats uses
     for ell, k, q, idx in iter_quadratic_strikes(X, table, ell_max=cutoff):
-        rem[idx] //= ell
+        for s in _progression_slices(X, q, idx):
+            rem[s] //= ell
         fold(ell, k, q, float(np.sum(lam_w[idx])), float(np.sum(g_p[idx])))
 
     def visit(ells, levels):
@@ -823,14 +857,19 @@ def weighted_sieve_experiment(X: int, params: WeightedSieveParams,
     rough = np.ones(X, dtype=bool)
     inner = np.zeros(X, dtype=np.float64)
     wq_pairs: list[tuple[int, np.ndarray]] = []
-    for ell, k, _q, idx in iter_quadratic_strikes(X, table,
-                                                  ell_max=int(y) + 1):
+    for ell, k, q, idx in iter_quadratic_strikes(X, table,
+                                                 ell_max=int(y) + 1):
         if ell == 2 or k > 1:
             continue
         if ell < z:
-            rough[idx] = False
+            for s in _progression_slices(X, q, idx):
+                rough[s] = False
         elif ell < y:
-            np.add.at(inner, idx, 1.0 - math.log(ell) / log_y)
+            # the progressions are disjoint: one addition per n, as in
+            # np.add.at, in the same ell order
+            w_ell = 1.0 - math.log(ell) / log_y
+            for s in _progression_slices(X, q, idx):
+                inner[s] += w_ell
             wq_pairs.append((ell, idx))
 
     eligible = stats.is_prime_n & (stats.n % 2 == 1) & rough

@@ -618,6 +618,47 @@ def test_strike_large_primes_levels_match_generator(prime_table, monkeypatch,
             else sorted(got[key]) == sorted(idx), key
 
 
+def test_progression_slices_rebuild_every_yield(prime_table):
+    # X = 1 yields an empty ell = 2 level, and small windows have levels
+    # where only one root's progression falls inside
+    sizes = set()
+    for X in [1, 2, 3, 5, 21, 650, 20000]:
+        window = np.arange(X)
+        for _ell, _k, q, idx in iter_quadratic_strikes(X, prime_table):
+            slices = experiments._progression_slices(X, q, idx)
+            got = [window[s] for s in slices]
+            assert np.array_equal(
+                np.concatenate(got) if got else window[:0], idx), (X, q)
+            sizes.add((len(idx) > 0, len(slices), q == 2))
+    # empty; ell = 2; one odd progression; two odd progressions
+    assert sizes == {(False, 0, True), (True, 1, True), (True, 1, False),
+                     (True, 2, False)}
+
+
+@pytest.mark.parametrize("block", [experiments.ROOT_BLOCK, 1000])
+def test_strike_large_primes_roots_come_in_blocks(prime_table, monkeypatch,
+                                                  block):
+    monkeypatch.setattr(experiments, "ROOT_BLOCK", block)
+    calls = []
+    real = experiments.sqrt_minus_one_batch
+
+    def counted(primes):
+        calls.append(np.asarray(primes).copy())
+        return real(primes)
+    monkeypatch.setattr(experiments, "sqrt_minus_one_batch", counted)
+    X = SEVERAL_CHUNKS_X
+    ells = prime_table.primes_between(math.isqrt(2 * X), 2 * X)
+    count = int(np.sum(ells % 4 == 1))
+    prime_table._window.clear()
+    _assert_stats_match_generator(X, prime_table)
+    assert len(calls) == -(-count // block)
+    assert all(0 < len(c) <= block and np.all(c % 4 == 1) for c in calls)
+    assert np.array_equal(np.concatenate(calls), ells[ells % 4 == 1])
+    calls.clear()
+    _assert_chebyshev_matches_generator(X, prime_table)
+    assert len(calls) == -(-count // block)
+
+
 def test_strike_large_primes_rejects_batching_two(prime_table):
     rem = np.arange(11, 21, dtype=np.int64) ** 2 + 1
     with pytest.raises(ValueError):

@@ -370,3 +370,31 @@ def test_sieve_refuses_a_table_beyond_available_memory(monkeypatch):
 def test_sieve_skips_the_memory_check_when_unreadable(monkeypatch):
     monkeypatch.setattr(primes, "_mem_available_bytes", lambda: None)
     assert len(sieve_primes(100).primes) == 25
+
+
+def _masked_fill_sieve(limit):
+    """The earlier spf fill, kept as the oracle: each prime p up to
+    sqrt(limit), ascending, marks only the still-empty entries of p*p::p."""
+    spf = np.zeros(limit + 1, dtype=np.int32)
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == 0:
+            block = spf[p * p:: p]
+            block[block == 0] = p
+    idx = np.arange(limit + 1, dtype=np.int32)
+    unmarked = spf == 0
+    spf[unmarked] = idx[unmarked]
+    spf[1] = 1
+    primes = np.nonzero(spf == idx)[0][2:].astype(np.int64)
+    return primes, spf
+
+
+# squares of primes and their neighbours, where the sqrt(limit) bound moves
+@pytest.mark.parametrize("limit", [2, 3, 4, 24, 25, 26, 48, 49, 50, 10201,
+                                   10 ** 5, 1_000_003, 2_010_000])
+def test_sieve_matches_the_masked_fill_bitwise(limit):
+    want_primes, want_spf = _masked_fill_sieve(limit)
+    table = sieve_primes(limit)
+    assert table.primes.dtype == np.int64
+    assert table.smallest_prime_factor.dtype == np.int32
+    assert np.array_equal(table.primes, want_primes)
+    assert np.array_equal(table.smallest_prime_factor, want_spf)
