@@ -29,9 +29,9 @@ from typing import Iterator
 import numpy as np
 
 from .numerics import integrate_checked
-from .primes import (PrimeTable, is_prime, jacobi_table, multiplicative_suite,
-                     rho, roots_mod, sieve_primes, sqrt_minus_one_batch,
-                     sqrt_minus_one_lifts, x_flat)
+from .primes import (PrimeTable, _mem_available_bytes, is_prime, jacobi_table,
+                     multiplicative_suite, rho, roots_mod, sieve_primes,
+                     sqrt_minus_one_batch, sqrt_minus_one_lifts, x_flat)
 from .reports import ExperimentReport
 from .theorems import WeightedSieveParams, gamma_theta
 
@@ -47,6 +47,27 @@ class OverflowGuardError(ValueError):
 def _check_window(X: int, cap: int = X_OVERFLOW_CAP) -> None:
     if not 1 <= X <= cap:
         raise OverflowGuardError(f"X must be in [1, {cap}], got {X}")
+
+
+# Bound on the peak of quadratic_window_stats per n, beyond the prime table:
+# the 11 B memo, the int64 rem (8 B), the tail mask and the two bool
+# temporaries of the cofactor check (3 B), and the index arrays of the
+# first strike yields (ell = 2 and 5, 6.4 B).  tracemalloc measured 28.4 B
+# per n at X = 5e5 and 3e6, plus a fixed ~0.3 MB of strike chunk buffers.
+WINDOW_BYTES_PER_N = 29
+
+
+class WindowMemoryError(ValueError):
+    """Window whose arrays would not fit in the available memory."""
+
+
+def _check_window_memory(X: int) -> None:
+    need = X * WINDOW_BYTES_PER_N
+    available = _mem_available_bytes()
+    if available is not None and need > available:
+        raise WindowMemoryError(
+            f"the window of X = {X} needs about {need / 2 ** 20:.0f} MiB, "
+            f"more than the {available / 2 ** 20:.0f} MiB available")
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +445,22 @@ def strike_large_primes(X: int, table: PrimeTable, ell_min: int,
 
 @dataclass(frozen=True)
 class QuadraticWindowStats:
-    """Per-n factor data for the window: n, spf(n), and the shape of n^2+1."""
+    """Per-n factor data for the window (X, 2X]: spf(n) and the shape of n^2+1.
+
+    n itself is derived, not stored: the property builds it afresh, and no
+    window consumer reads it.  spf_n is a read-only view of the prime
+    table's int32 smallest-prime-factor array, so the memo owns 11 B per n.
+    """
     X: int
-    n: np.ndarray
-    spf_n: np.ndarray
+    spf_n: np.ndarray        # int32 view of table.smallest_prime_factor
     is_prime_n: np.ndarray
-    omega_m: np.ndarray      # distinct prime factors of n^2 + 1
-    big_omega_m: np.ndarray  # prime factors of n^2 + 1 with multiplicity
+    omega_m: np.ndarray      # distinct prime factors of n^2 + 1 (int8)
+    big_omega_m: np.ndarray  # prime factors of n^2 + 1 with multiplicity (int8)
     p_plus_m: np.ndarray     # greatest prime factor of n^2 + 1
+
+    @property
+    def n(self) -> np.ndarray:
+        return np.arange(self.X + 1, 2 * self.X + 1, dtype=np.int64)
 
 
 def quadratic_window_stats(X: int, table: PrimeTable) -> QuadraticWindowStats:
@@ -440,17 +469,21 @@ def quadratic_window_stats(X: int, table: PrimeTable) -> QuadraticWindowStats:
     The table memoizes one window: the same X again returns the same stats,
     and another X frees the old window before striking the new one.  The
     shared arrays are read-only.  A caller keeps the last window alive
-    (about 29 MB at X = 1e6) until it asks for another X or drops the table.
+    (11 B per n, about 10.5 MiB at X = 1e6) until it asks for another X or
+    drops the table.
     """
     _check_window(X, min(X_FACTOR_CAP, table.limit // 2))
     memo = table._window
     if X in memo:
         return memo[X]
     memo.clear()
-    n = np.arange(X + 1, 2 * X + 1, dtype=np.int64)
-    rem = n * n + 1
-    omega = np.zeros(X, dtype=np.int16)
-    big_omega = np.zeros(X, dtype=np.int16)
+    _check_window_memory(X)
+    rem = np.arange(X + 1, 2 * X + 1, dtype=np.int64)
+    rem *= rem
+    rem += 1
+    # Omega(n^2 + 1) <= log2(4 X_FACTOR_CAP^2 + 1) < 49 fits in int8
+    omega = np.zeros(X, dtype=np.int8)
+    big_omega = np.zeros(X, dtype=np.int8)
     p_plus = np.ones(X, dtype=np.int64)
     cutoff = max(2, math.isqrt(2 * X))  # progressions above are short
     for ell, k, q, idx in iter_quadratic_strikes(X, table, ell_max=cutoff):
@@ -461,7 +494,7 @@ def quadratic_window_stats(X: int, table: PrimeTable) -> QuadraticWindowStats:
                 omega[s] += 1
             p_plus[s] = ell
 
-    one = np.int16(1)  # a Python int would take ufunc.at's slow path
+    one = np.int8(1)  # a Python int would take ufunc.at's slow path
 
     def visit(ells, levels):
         for _slot, idx in levels:
@@ -479,10 +512,12 @@ def quadratic_window_stats(X: int, table: PrimeTable) -> QuadraticWindowStats:
     omega += tail
     big_omega += tail
     np.copyto(p_plus, rem, where=tail)
-    del rem, tail  # dead from here; freed before spf_n is allocated
-    # n is the range X + 1..2X, so a slice: a gather adds an int32 copy
-    spf_n = table.smallest_prime_factor[X + 1:2 * X + 1].astype(np.int64)
-    arrays = dict(n=n, spf_n=spf_n, is_prime_n=spf_n == n, omega_m=omega,
+    del rem, tail  # dead from here; freed before is_prime_n is allocated
+    # n is the range X + 1..2X, so spf_n is a slice, shared with the table
+    spf_n = table.smallest_prime_factor[X + 1:2 * X + 1]
+    is_prime_n = np.zeros(X, dtype=bool)
+    is_prime_n[table.primes_between(X, 2 * X) - (X + 1)] = True
+    arrays = dict(spf_n=spf_n, is_prime_n=is_prime_n, omega_m=omega,
                   big_omega_m=big_omega, p_plus_m=p_plus)
     for a in arrays.values():
         a.flags.writeable = False
@@ -832,6 +867,21 @@ def square_sieve_count(X: int, L: int, table: PrimeTable) -> int:
 # ---------------------------------------------------------------------------
 # weighted sieve and the theorem surveys
 
+def _window_ratios(X: int) -> np.ndarray:
+    """n / X for every n in the window, divided in place."""
+    x = np.arange(X + 1, 2 * X + 1, dtype=np.float64)
+    x /= X
+    return x
+
+
+def _odd_window_primes(stats: QuadraticWindowStats) -> np.ndarray:
+    """Mask of the odd primes in the window; the even n sit at every other
+    index, starting at 0 when X + 1 is even."""
+    mask = stats.is_prime_n.copy()
+    mask[(stats.X + 1) % 2::2] = False
+    return mask
+
+
 def weighted_sieve_experiment(X: int, params: WeightedSieveParams,
                               w: SmoothWeight,
                               table: PrimeTable) -> ExperimentReport:
@@ -856,7 +906,7 @@ def weighted_sieve_experiment(X: int, params: WeightedSieveParams,
     # sifting pass: m z-rough means no odd prime factor below z
     rough = np.ones(X, dtype=bool)
     inner = np.zeros(X, dtype=np.float64)
-    wq_pairs: list[tuple[int, np.ndarray]] = []
+    wq_slices: list[tuple[int, list[slice]]] = []
     for ell, k, q, idx in iter_quadratic_strikes(X, table,
                                                  ell_max=int(y) + 1):
         if ell == 2 or k > 1:
@@ -868,18 +918,28 @@ def weighted_sieve_experiment(X: int, params: WeightedSieveParams,
             # the progressions are disjoint: one addition per n, as in
             # np.add.at, in the same ell order
             w_ell = 1.0 - math.log(ell) / log_y
-            for s in _progression_slices(X, q, idx):
+            slices = _progression_slices(X, q, idx)
+            for s in slices:
                 inner[s] += w_ell
-            wq_pairs.append((ell, idx))
+            wq_slices.append((ell, slices))
 
-    eligible = stats.is_prime_n & (stats.n % 2 == 1) & rough
-    g_vals = np.where(eligible, w.values(stats.n.astype(np.float64) / X), 0.0)
+    eligible = _odd_window_primes(stats)
+    eligible &= rough
+    g_vals = np.where(eligible, w.values(_window_ratios(X)), 0.0)
     S_A = float(np.sum(g_vals))
-    psi_direct = float(np.sum(g_vals * (1.0 - inner / eta)))
+    # g_vals * (1 - inner / eta) in one temporary; x * y is y * x bitwise
+    damped = inner / eta
+    np.subtract(1.0, damped, out=damped)
+    damped *= g_vals
+    psi_direct = float(np.sum(damped))
+    del damped
 
     sum_wq_SAq = 0.0
-    for ell, idx in wq_pairs:
-        sum_wq_SAq += (1.0 - math.log(ell) / log_y) * float(np.sum(g_vals[idx]))
+    for ell, slices in wq_slices:
+        # the views concatenate to the gather g_vals[idx] of the yield, in
+        # its order, so the pairwise sum is bitwise the same
+        g_ell = np.concatenate([g_vals[s] for s in slices])
+        sum_wq_SAq += (1.0 - math.log(ell) / log_y) * float(np.sum(g_ell))
     psi_identity = S_A - sum_wq_SAq / eta
     identity_rel = abs(psi_direct - psi_identity) / max(1.0, abs(psi_direct))
 
@@ -890,8 +950,8 @@ def weighted_sieve_experiment(X: int, params: WeightedSieveParams,
     # weight inequality on squarefree z-rough survivors with positive weight
     squarefree = stats.big_omega_m == stats.omega_m
     check = positive & squarefree
-    log_m_half = np.log((stats.n[check].astype(np.float64)) ** 2 + 1.0) \
-        - math.log(2.0)
+    n_check = (X + 1 + np.flatnonzero(check)).astype(np.float64)
+    log_m_half = np.log(n_check ** 2 + 1.0) - math.log(2.0)
     violations = int(np.sum(omega_half[check] >= eta + log_m_half / log_y))
 
     return ExperimentReport(
@@ -918,12 +978,14 @@ def almost_prime_survey(X: int, r: int, table: PrimeTable,
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     stats = quadratic_window_stats(X, table)
-    odd_prime = stats.is_prime_n & (stats.n % 2 == 1)
-    omega_half = stats.big_omega_m - 1
-    counters = {"window_odd_primes": int(np.sum(odd_prime))}
+    # at_most[j] counts the odd window primes p with Omega(p^2 + 1) <= j,
+    # that is with at most j - 1 prime factors in (p^2 + 1)/2
+    big_omega = stats.big_omega_m[_odd_window_primes(stats)]
+    at_most = np.cumsum(np.bincount(big_omega, minlength=8))
+    counters = {"window_odd_primes": len(big_omega)}
     for j in range(1, 7):
-        counters[f"r={j}"] = int(np.sum(odd_prime & (omega_half <= j)))
-    counters["count"] = int(np.sum(odd_prime & (omega_half <= r)))
+        counters[f"r={j}"] = int(at_most[j + 1])
+    counters["count"] = int(at_most[min(r + 1, len(at_most) - 1)])
     return ExperimentReport(
         name="almost_prime_survey",
         params={"X": X, "r": r, "weight": w.mode},
@@ -940,7 +1002,7 @@ def gpf_survey(X: int, vartheta: float, table: PrimeTable) -> ExperimentReport:
         raise ValueError(f"vartheta must lie in (0, 2), got {vartheta}")
     stats = quadratic_window_stats(X, table)
     mask = stats.is_prime_n
-    p = stats.n[mask].astype(np.float64)
+    p = (X + 1 + np.flatnonzero(mask)).astype(np.float64)
     qualifies = stats.p_plus_m[mask].astype(np.float64) > p ** vartheta
     primes_total = int(np.sum(mask))
     count = int(np.sum(qualifies))
@@ -955,10 +1017,11 @@ def gpf_survey(X: int, vartheta: float, table: PrimeTable) -> ExperimentReport:
 def _u_rough(stats: QuadraticWindowStats, u: float) -> np.ndarray:
     """Mask of the window n with spf(n) > n^(1/u), in one float64 temporary.
 
-    The in-place power takes the same path as n ** (1 / u), and the int64
-    spf values (< 2^53) compare exactly against the float64 limits.
+    The in-place power takes the same path as n ** (1 / u), and the int32
+    spf values compare exactly against the float64 limits.
     """
-    lim = stats.n.astype(np.float64)
+    X = stats.X
+    lim = np.arange(X + 1, 2 * X + 1, dtype=np.float64)
     lim **= 1.0 / u
     return stats.spf_n > lim
 
@@ -970,7 +1033,7 @@ def dartyge_survey(X: int, u: float, table: PrimeTable) -> ExperimentReport:
         raise ValueError(f"u must exceed 1, got {u}")
     stats = quadratic_window_stats(X, table)
     qual = _u_rough(stats, u)
-    n_q = stats.n[qual]
+    n_q = X + 1 + np.flatnonzero(qual)
     ratio = np.log(stats.p_plus_m[qual].astype(np.float64)) \
         / np.log(n_q.astype(np.float64))
 

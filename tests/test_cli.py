@@ -228,6 +228,14 @@ def test_prime_table_beyond_memory_exits_1(capsys, monkeypatch):
                    "more than the 1 MiB available\n")
 
 
+def test_window_beyond_memory_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(experiments, "_mem_available_bytes", lambda: 2 ** 20)
+    code, out, err = run_cli(capsys, "empirical", "gpf", "--X", "100000")
+    assert code == 1 and out == ""
+    assert err == ("error: the window of X = 100000 needs about 3 MiB, "
+                   "more than the 1 MiB available\n")
+
+
 # ----------------------------------------------------------------- empirical
 
 def test_empirical_q_ell_oracle(capsys):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -305,6 +306,95 @@ def test_window_memo_arrays_are_read_only(prime_table):
                 value[0] = 0
 
 
+def _memo_arrays(stats):
+    return {f.name: getattr(stats, f.name) for f in dataclasses.fields(stats)
+            if isinstance(getattr(stats, f.name), np.ndarray)}
+
+
+def test_window_memo_owns_at_most_11_bytes_per_n(prime_table):
+    X = 20001
+    stats = quadratic_window_stats(X, prime_table)
+    arrays = _memo_arrays(stats)
+    assert sorted(arrays) == ["big_omega_m", "is_prime_n", "omega_m",
+                              "p_plus_m", "spf_n"]
+    owned = sum(a.nbytes for name, a in arrays.items() if name != "spf_n")
+    assert owned <= 11 * X
+    assert all(a.base is None for name, a in arrays.items()
+               if name != "spf_n")
+
+
+def test_window_spf_is_a_read_only_view_of_the_table(prime_table):
+    stats = quadratic_window_stats(800, prime_table)
+    spf = prime_table.smallest_prime_factor
+    assert np.shares_memory(stats.spf_n, spf)
+    assert stats.spf_n.dtype == spf.dtype == np.int32
+    assert all(not a.flags.writeable for a in _memo_arrays(stats).values())
+    assert spf.flags.writeable  # the view alone is locked
+
+
+def test_window_n_is_derived(prime_table):
+    stats = quadratic_window_stats(800, prime_table)
+    assert "n" not in _memo_arrays(stats)
+    assert stats.n.dtype == np.int64
+    assert np.array_equal(stats.n, np.arange(801, 1601))
+
+
+def test_int8_holds_omega_of_every_window_value():
+    # Omega(n^2 + 1) <= log2(n^2 + 1) with n <= 2X <= 2 X_FACTOR_CAP
+    cap = experiments.X_FACTOR_CAP
+    assert math.log2(4 * cap * cap + 1) < 49 <= np.iinfo(np.int8).max
+
+
+def test_no_window_consumer_builds_the_full_n(prime_table, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a consumer read QuadraticWindowStats.n")
+    monkeypatch.setattr(experiments.QuadraticWindowStats, "n",
+                        property(refuse))
+    X = 20001
+    params = WeightedSieveParams(alpha=1.0 / 12.0, beta=0.622,
+                                 delta=min(solve_delta(), 0.622), r=4)
+    almost_prime_survey(X, 4, prime_table)
+    gpf_survey(X, 0.847, prime_table)
+    dartyge_survey(X, 11.2, prime_table)
+    weighted_sieve_experiment(X, params, SHARP, prime_table)
+    with pytest.raises(AssertionError):
+        quadratic_window_stats(X, prime_table).n
+
+
+def test_window_stats_refuse_a_window_beyond_available_memory(monkeypatch):
+    # the estimate alone decides: numpy is never reached, nothing allocated
+    monkeypatch.setattr(experiments, "_mem_available_bytes",
+                        lambda: 50 * 2 ** 20)
+    monkeypatch.setattr(experiments, "np", None)
+    X = 4 * 10 ** 6
+    table = types.SimpleNamespace(limit=2 * X, _window={})
+    with pytest.raises(experiments.WindowMemoryError,
+                       match=r"^the window of X = 4000000 needs about 111 "
+                             r"MiB, more than the 50 MiB available$"):
+        quadratic_window_stats(X, table)
+
+
+def test_window_memory_check_is_skipped_when_unreadable(monkeypatch):
+    monkeypatch.setattr(experiments, "_mem_available_bytes", lambda: None)
+    table = sieve_primes(600)
+    assert len(quadratic_window_stats(300, table).p_plus_m) == 300
+
+
+@pytest.mark.parametrize("X", [1, 2, 3, 300, 20001])
+def test_almost_prime_levels_match_masks(prime_table, X):
+    # the seven masks the one-pass bincount replaced
+    stats = quadratic_window_stats(X, prime_table)
+    odd_prime = stats.is_prime_n & (stats.n % 2 == 1)
+    omega_half = stats.big_omega_m.astype(np.int64) - 1
+    for r in (1, 4, 7, 1000):
+        counters = almost_prime_survey(X, r, prime_table).counters
+        want = {"window_odd_primes": int(np.sum(odd_prime))}
+        for j in range(1, 7):
+            want[f"r={j}"] = int(np.sum(odd_prime & (omega_half <= j)))
+        want["count"] = int(np.sum(odd_prime & (omega_half <= r)))
+        assert counters == want, r
+
+
 def test_window_memo_hits_match_fresh_tables(monkeypatch):
     # the survey battery at two windows, the weighted sieve at the first
     X1, X2 = 20000, 30001
@@ -337,8 +427,8 @@ def _generator_window_stats(X, table):
     """Window stats from the per-ell generator alone, all the way to 2X."""
     n = np.arange(X + 1, 2 * X + 1, dtype=np.int64)
     rem = n * n + 1
-    omega = np.zeros(X, dtype=np.int16)
-    big_omega = np.zeros(X, dtype=np.int16)
+    omega = np.zeros(X, dtype=np.int8)
+    big_omega = np.zeros(X, dtype=np.int8)
     p_plus = np.ones(X, dtype=np.int64)
     for ell, k, _q, idx in iter_quadratic_strikes(X, table):
         rem[idx] //= ell
@@ -350,7 +440,7 @@ def _generator_window_stats(X, table):
     omega[tail] += 1
     big_omega[tail] += 1
     p_plus[tail] = rem[tail]
-    spf_n = table.smallest_prime_factor[n].astype(np.int64)
+    spf_n = table.smallest_prime_factor[n]
     return {"n": n, "spf_n": spf_n, "is_prime_n": spf_n == n,
             "omega_m": omega, "big_omega_m": big_omega, "p_plus_m": p_plus}
 
