@@ -36,22 +36,12 @@ DEFAULTS = {
     "beta_step": 1e-3, "step": 0.01,
 }
 
-_CONFIG_COERCE = {
-    "X": int, "ell": int, "r": int, "k": int, "d": int, "a": int, "L": int,
-    "p": int, "q": int, "m": int, "max_pq": int,
-    "u": float, "theta0": float, "vartheta": float, "theta": float,
-    "alpha": float, "beta": float, "z": float, "epsilon0": float,
-    "table_step": float, "beta_step": float, "step": float,
-    "min": float, "max": float,
-    "weight": str, "out": str,
-}
-
-
 class ConfigError(ValueError):
     """Bad key or unparsable value in a config file."""
 
 
-def _load_config(path: str) -> dict[str, str]:
+def _load_config(path: str, actions: dict[str, argparse.Action]
+                 ) -> dict[str, str]:
     entries: dict[str, str] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -61,21 +51,29 @@ def _load_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_COERCE:
+            if key not in actions:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             entries[key] = value
     return entries
 
 
-def _apply_config(args: argparse.Namespace, config: dict[str, str]) -> None:
-    """Fill unset options from the config file; flags always win."""
+def _apply_config(args: argparse.Namespace, config: dict[str, str],
+                  actions: dict[str, argparse.Action]) -> None:
+    """Fill unset options from the config file; flags always win.  Each
+    value is converted and checked as its flag's argparse action does."""
     for key, raw in config.items():
         if not hasattr(args, key) or getattr(args, key) is not None:
             continue
+        action = actions[key]
         try:
-            setattr(args, key, _CONFIG_COERCE[key](raw))
+            value = action.type(raw) if action.type else raw
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from exc
+        if action.choices is not None and value not in action.choices:
+            allowed = ", ".join(map(repr, action.choices))
+            raise ConfigError(f"config key {key!r}: invalid choice {value!r} "
+                              f"(choose from {allowed})")
+        setattr(args, key, value)
 
 
 def _apply_defaults(args: argparse.Namespace) -> None:
@@ -336,8 +334,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sievekit",
         description="Verified sieve constants and window experiments for "
                     "quadratic values at prime arguments.")
+    # every option a config file may set, by dest; each parses it alike
+    config_actions: dict[str, argparse.Action] = {}
+
+    def option(p: argparse.ArgumentParser, flag: str, **kwargs) -> None:
+        action = p.add_argument(flag, default=None, **kwargs)
+        config_actions[action.dest] = action
+
     parser.add_argument("--config", help="key = value parameter file")
-    parser.add_argument("--out", help="write output to this path")
+    option(parser, "--out", help="write output to this path")
 
     # The same flags are accepted after the subcommand; SUPPRESS keeps an
     # absent trailing flag from clobbering a value parsed at the front.
@@ -350,59 +355,50 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run theorem verifications",
                             parents=[common])
     verify.add_argument("target", choices=("thm1", "thm2", "thm3", "all"))
-    for flag, kind in (("--vartheta", float), ("--u", float),
-                       ("--theta0", float), ("--alpha", float),
-                       ("--beta", float)):
-        verify.add_argument(flag, type=kind, default=None)
-    verify.add_argument("--r", type=int, default=None)
-    verify.add_argument("--table-step", dest="table_step", type=float,
-                        default=None)
+    for flag in ("--vartheta", "--u", "--theta0", "--alpha", "--beta"):
+        option(verify, flag, type=float)
+    option(verify, "--r", type=int)
+    option(verify, "--table-step", dest="table_step", type=float)
 
     func = sub.add_parser("functions", help="evaluate or dump sieve functions")
     fsub = func.add_subparsers(dest="action", required=True)
     feval = fsub.add_parser("eval", parents=[common])
     feval.add_argument("name", choices=FUNCTION_NAMES)
     feval.add_argument("x")
-    feval.add_argument("--table-step", dest="table_step", type=float,
-                       default=None)
+    option(feval, "--table-step", dest="table_step", type=float)
     ftab = fsub.add_parser("table", parents=[common])
     ftab.add_argument("name", choices=FUNCTION_NAMES)
-    ftab.add_argument("--min", type=float, default=None)
-    ftab.add_argument("--max", type=float, default=None)
-    ftab.add_argument("--step", type=float, default=None)
-    ftab.add_argument("--table-step", dest="table_step", type=float,
-                      default=None)
+    for flag in ("--min", "--max", "--step"):
+        option(ftab, flag, type=float)
+    option(ftab, "--table-step", dest="table_step", type=float)
 
     emp = sub.add_parser("empirical", help="run a window experiment",
                          parents=[common])
     emp.add_argument("experiment", choices=EXPERIMENT_NAMES)
-    emp.add_argument("--X", type=int, default=None)
-    for flag in ("--ell", "--k", "--d", "--a", "--L", "--p", "--q", "--m",
-                 "--r"):
-        emp.add_argument(flag, type=int, default=None)
+    for flag in ("--X", "--ell", "--k", "--d", "--a", "--L", "--p", "--q",
+                 "--m", "--r"):
+        option(emp, flag, type=int)
     for flag in ("--u", "--z", "--theta", "--vartheta", "--alpha", "--beta",
                  "--epsilon0"):
-        emp.add_argument(flag, type=float, default=None)
-    emp.add_argument("--weight", choices=("sharp", "bump", "plateau"),
-                     default=None)
+        option(emp, flag, type=float)
+    option(emp, "--weight", choices=("sharp", "bump", "plateau"))
     emp.add_argument("--oracle", action="store_true",
                      help="also run the brute-force path and compare")
-    emp.add_argument("--max-pq", dest="max_pq", type=int, default=None,
-                     help="weil only: exhaustive scan over pq up to this")
+    option(emp, "--max-pq", dest="max_pq", type=int,
+           help="weil only: exhaustive scan over pq up to this")
 
     plot = sub.add_parser("plot-data", help="emit curve data as CSV",
                           parents=[common])
     plot.add_argument("curve", choices=("c-beta",))
-    plot.add_argument("--r", type=int, default=None)
-    plot.add_argument("--alpha", type=float, default=None)
-    plot.add_argument("--beta-step", dest="beta_step", type=float,
-                      default=None)
-    plot.add_argument("--table-step", dest="table_step", type=float,
-                      default=None)
+    option(plot, "--r", type=int)
+    option(plot, "--alpha", type=float)
+    option(plot, "--beta-step", dest="beta_step", type=float)
+    option(plot, "--table-step", dest="table_step", type=float)
 
     rep = sub.add_parser("report", help="aggregate JSON reports to Markdown",
                          parents=[common])
     rep.add_argument("files", nargs="+")
+    parser._config_actions = config_actions
     return parser
 
 
@@ -419,7 +415,8 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         if args.config:
-            _apply_config(args, _load_config(args.config))
+            actions = parser._config_actions
+            _apply_config(args, _load_config(args.config, actions), actions)
         _apply_defaults(args)
         return _DISPATCH[args.command](args)
     except ConfigError as exc:

@@ -9,15 +9,16 @@ because two such factors would exceed n^2 + 1.
 
 Both window consumers, quadratic_window_stats and chebyshev_decomposition,
 split the sieve at ell_0 = sqrt(2X).  Primes ell <= ell_0 have long
-progressions and go through the per-ell generator iter_quadratic_strikes;
-the consumers write each yield through strided views of its one or two
-progressions (_progression_slices) rather than gathering it.  Primes above
-ell_0 go through strike_large_primes, which finds their roots in one
-vectorized call per block of ROOT_BLOCK primes and scatters the hits in
-chunks with unbuffered ufunc.at updates.  Above ell_0 every ell^k with
-k >= 2 exceeds 2X, so it hits at most 2 n.  The generator alone also serves
-the weighted sieve's own pass below X^beta, through the same strided views,
-and the oracle tests.
+progressions and go through the per-ell generator iter_quadratic_strikes,
+which yields (ell, k, ell^k, idx, slices): the window indices of the one or
+two progressions struck, and the same progressions as basic slices.  The
+consumers write through those strided views rather than gathering at idx;
+only Chebyshev's sums read idx.  Primes above ell_0 go through
+strike_large_primes, which finds their roots in one vectorized call per
+block of ROOT_BLOCK primes and scatters the hits in chunks with unbuffered
+ufunc.at updates.  Above ell_0 every ell^k with k >= 2 exceeds 2X, so it
+hits at most 2 n.  The generator alone also serves the weighted sieve's own
+pass below X^beta, through the same strided views, and the oracle tests.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ from typing import Iterator
 import numpy as np
 
 from .numerics import integrate_checked
-from .primes import (PrimeTable, _mem_available_bytes, is_prime, jacobi_table,
-                     multiplicative_suite, rho, roots_mod, sieve_primes,
-                     sqrt_minus_one_batch, sqrt_minus_one_lifts, x_flat)
+from .primes import (PrimeTable, _check_memory, _local_root_count, is_prime,
+                     jacobi_table, multiplicative_suite, rho, roots_mod,
+                     sieve_primes, sqrt_minus_one_batch, sqrt_minus_one_lifts,
+                     x_flat)
 from .reports import ExperimentReport
 from .theorems import WeightedSieveParams, gamma_theta
 
@@ -49,25 +51,17 @@ def _check_window(X: int, cap: int = X_OVERFLOW_CAP) -> None:
         raise OverflowGuardError(f"X must be in [1, {cap}], got {X}")
 
 
-# Bound on the peak of quadratic_window_stats per n, beyond the prime table:
-# the 11 B memo, the int64 rem (8 B), the tail mask and the two bool
-# temporaries of the cofactor check (3 B), and the index arrays of the
-# first strike yields (ell = 2 and 5, 6.4 B).  tracemalloc measured 28.4 B
-# per n at X = 5e5 and 3e6, plus a fixed ~0.3 MB of strike chunk buffers.
-WINDOW_BYTES_PER_N = 29
+# Peaks per n beyond the prime table, by tracemalloc at X = 5e5, 1e6, 3e6.
+# quadratic_window_stats: 24.4 B, at the ell = 5 level: rem and p_plus
+# (16 B), omega and big_omega (2 B), and that level's two int64 progressions
+# with their concatenation (6.4 B).  chebyshev_decomposition: 37.7 to 37.9 B,
+# in its cofactor step: lam_w, g_p and rem (24 B) and the gathers there.
+WINDOW_BYTES_PER_N = 25
+_CHEBYSHEV_BYTES_PER_N = 38
 
 
 class WindowMemoryError(ValueError):
     """Window whose arrays would not fit in the available memory."""
-
-
-def _check_window_memory(X: int) -> None:
-    need = X * WINDOW_BYTES_PER_N
-    available = _mem_available_bytes()
-    if available is not None and need > available:
-        raise WindowMemoryError(
-            f"the window of X = {X} needs about {need / 2 ** 20:.0f} MiB, "
-            f"more than the {available / 2 ** 20:.0f} MiB available")
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +174,7 @@ def Q_ell_u(X: int, ell: int, u: float, w: SmoothWeight,
             table: PrimeTable) -> float:
     """Weighted count of n in (X, 2X] with ell | n^2 + 1 and spf(n) > n^(1/u)."""
     _check_window(X, min(X_OVERFLOW_CAP, table.limit // 2))
-    if u < 1.0:
+    if not 1.0 <= u < math.inf:  # NaN fails too
         raise ValueError(f"u must be >= 1, got {u}")
     n = _progressions(X, roots_mod(ell, table).roots, ell)
     spf = table.smallest_prime_factor[n].astype(np.float64)
@@ -196,7 +190,7 @@ def phi_sifted(X: int, z: float, d: int, a: int, w: SmoothWeight,
         raise ValueError(f"d must be >= 1, got {d}")
     if math.gcd(a, d) != 1:
         raise ValueError(f"residue {a} not coprime to modulus {d}")
-    if z < 2:
+    if not 2 <= z < math.inf:
         raise ValueError(f"z must be >= 2, got {z}")
     n = _progressions(X, [a % d], d)
     keep = table.smallest_prime_factor[n] > z
@@ -209,7 +203,7 @@ def phi_sifted_coprime(X: int, z: float, d: int, w: SmoothWeight,
     _check_window(X, min(X_OVERFLOW_CAP, table.limit // 2))
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if z < 2:
+    if not 2 <= z < math.inf:
         raise ValueError(f"z must be >= 2, got {z}")
     n = np.arange(X + 1, 2 * X + 1, dtype=np.int64)
     keep = (table.smallest_prime_factor[n] > z) & (np.gcd(n, d) == 1)
@@ -249,9 +243,13 @@ def _error_average(vals: np.ndarray, n: np.ndarray, D: int, k: int,
     main_term(d, sums, residues) gives the main term from the class sums of
     vals over n mod d and the residues coprime to d.
     """
+    taus = [multiplicative_suite(d, table)["tau"] for d in range(1, D + 1)]
+    top = max(taus, default=1)
+    if top > 1 and k >= 1024 / math.log2(top):  # top^k >= 2^1024
+        raise ValueError(f"k = {k} is too large: tau(d)^k reaches {top}^{k}, "
+                         f"beyond the float range, for d <= {D}")
     rows = []
-    for d in range(1, D + 1):
-        tau_d = multiplicative_suite(d, table)["tau"]
+    for d, tau_d in enumerate(taus, 1):
         sums = np.bincount((n % d).astype(np.int64), weights=vals, minlength=d)
         residues = [a for a in range(1, d + 1) if math.gcd(a, d) == 1]
         main = main_term(d, sums, residues)
@@ -296,6 +294,8 @@ def wolke_error_average(X: int, z: float, k: int, w: SmoothWeight,
     The main term is the mean of the coprime class sums.
     """
     _check_window(X, min(X_FACTOR_CAP, table.limit // 2))
+    if not 2 <= z < math.inf:
+        raise ValueError(f"z must be >= 2, got {z}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     D = int(x_flat(X))
@@ -321,17 +321,22 @@ def wolke_error_average(X: int, z: float, k: int, w: SmoothWeight,
 
 def iter_quadratic_strikes(X: int, table: PrimeTable,
                            ell_max: int | None = None
-                           ) -> Iterator[tuple[int, int, int, np.ndarray]]:
-    """Yield (ell, k, ell^k, window indices) for every prime-power divisor.
+                           ) -> Iterator[tuple[int, int, int, np.ndarray,
+                                               list[slice]]]:
+    """Yield (ell, k, ell^k, idx, slices) for every prime-power divisor.
 
     Covers every prime power ell^k dividing some n^2 + 1 for n in (X, 2X]
-    with ell <= ell_max (default 2X), in ascending (ell, k) order.  Index
-    arrays address n = X + 1 + i; they hold one or two progressions of step
-    ell^k, the smaller root's first, each in ascending n, which
-    _progression_slices turns back into basic slices.  The window consumers
-    run this per-ell loop up to ell_0 = sqrt(2X) and strike_large_primes
-    above it; the weighted sieve's pass below X^beta and the oracle tests
-    run it alone.
+    with ell <= ell_max (default 2X), in ascending (ell, k) order.  The
+    int64 window indices idx (n = X + 1 + i) hold one or two progressions
+    of step ell^k, the smaller root's first, each in ascending n; slices
+    are the same progressions as basic slices, whose views concatenate to
+    the gather at idx.  The two are disjoint (r != -r mod an odd ell^k, and
+    ell = 2 has one), so an in-place op on each view is the fancy-indexed
+    op on idx.  A consumer of the slices alone drops idx before it asks for
+    the next level, so that no two levels' index arrays are alive at once.
+    The window consumers run this per-ell loop up to ell_0 = sqrt(2X) and
+    strike_large_primes above it; the weighted sieve's pass below X^beta
+    and the oracle tests run it alone.
     """
     _check_window(X)
     lo = X + 1
@@ -343,39 +348,20 @@ def iter_quadratic_strikes(X: int, table: PrimeTable,
 
     if top >= 2:
         first_odd = 0 if lo % 2 == 1 else 1
-        yield 2, 1, 2, np.arange(first_odd, size, 2, dtype=np.int64)
+        yield (2, 1, 2, np.arange(first_odd, size, 2, dtype=np.int64),
+               [slice(first_odd, None, 2)])
 
     for ell in map(int, table.primes_between(2, top)):
         if ell % 4 != 1:
             continue
         for k, (q, r) in enumerate(sqrt_minus_one_lifts(ell, m_max), 1):
-            parts = []
-            for a in (r, q - r):
-                start = (a - lo) % q
-                if start < size:
-                    parts.append(np.arange(start, size, q, dtype=np.int64))
-            if not parts:
+            starts = [s for s in ((r - lo) % q, (q - r - lo) % q) if s < size]
+            if not starts:
                 break  # deeper levels strike subsets of this one
-            idx = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            yield ell, k, q, idx
-
-
-def _progression_slices(X: int, q: int, idx: np.ndarray) -> list[slice]:
-    """The window indices idx of one strike yield as basic slices of step q.
-
-    idx is one or two ascending progressions of step q, the first running
-    to the end of the window, so the second (if any) starts at idx[m] with
-    m = ceil((X - idx[0]) / q).  The two are disjoint (r != -r mod an odd
-    ell^k, and ell = 2 has one), so an in-place op on each strided view is
-    the fancy-indexed op on idx.
-    """
-    if not len(idx):
-        return []
-    first = int(idx[0])
-    m = -(-(X - first) // q)
-    if m < len(idx):
-        return [slice(first, None, q), slice(int(idx[m]), None, q)]
-    return [slice(first, None, q)]
+            idx = np.concatenate([np.arange(s, size, q, dtype=np.int64)
+                                  for s in starts])
+            yield ell, k, q, idx, [slice(s, None, q) for s in starts]
+            del idx
 
 
 STRIKE_CHUNK_HITS = 1 << 14   # bound on the hits scattered per chunk
@@ -477,7 +463,8 @@ def quadratic_window_stats(X: int, table: PrimeTable) -> QuadraticWindowStats:
     if X in memo:
         return memo[X]
     memo.clear()
-    _check_window_memory(X)
+    _check_memory(X * WINDOW_BYTES_PER_N, f"the window of X = {X}",
+                  WindowMemoryError)
     rem = np.arange(X + 1, 2 * X + 1, dtype=np.int64)
     rem *= rem
     rem += 1
@@ -486,8 +473,10 @@ def quadratic_window_stats(X: int, table: PrimeTable) -> QuadraticWindowStats:
     big_omega = np.zeros(X, dtype=np.int8)
     p_plus = np.ones(X, dtype=np.int64)
     cutoff = max(2, math.isqrt(2 * X))  # progressions above are short
-    for ell, k, q, idx in iter_quadratic_strikes(X, table, ell_max=cutoff):
-        for s in _progression_slices(X, q, idx):
+    for ell, k, _q, idx, slices in iter_quadratic_strikes(X, table,
+                                                          ell_max=cutoff):
+        del idx  # freed before the next level is built
+        for s in slices:
             rem[s] //= ell
             big_omega[s] += 1
             if k == 1:
@@ -554,6 +543,8 @@ def chebyshev_decomposition(X: int, vartheta: float, w: SmoothWeight,
         raise ValueError(
             f"X = {X} has no prime power at or below X^flat = {flat:.6g}, "
             f"so the H1 main-term model is 0")
+    _check_memory(X * _CHEBYSHEV_BYTES_PER_N, f"the window of X = {X}",
+                  WindowMemoryError)
     lo = X + 1
 
     # Lambda(n) g(n/X) over the window (prime-power n only)...
@@ -596,8 +587,7 @@ def chebyshev_decomposition(X: int, vartheta: float, w: SmoothWeight,
         s_g = log_ell * sum_g
         if q <= flat:
             H[0] += s_g
-            rho_q = 1 if ell == 2 else 2
-            model_sum += log_ell * rho_q / (q - q // ell)
+            model_sum += log_ell * _local_root_count(ell, k) / (q - q // ell)
         elif k == 1 and ell <= level:
             H[1] += s_g
         elif k == 1:
@@ -606,8 +596,9 @@ def chebyshev_decomposition(X: int, vartheta: float, w: SmoothWeight,
             H[3] += s_g
 
     cutoff = max(2, math.isqrt(2 * X))  # the split quadratic_window_stats uses
-    for ell, k, q, idx in iter_quadratic_strikes(X, table, ell_max=cutoff):
-        for s in _progression_slices(X, q, idx):
+    for ell, k, q, idx, slices in iter_quadratic_strikes(X, table,
+                                                         ell_max=cutoff):
+        for s in slices:
             rem[s] //= ell
         fold(ell, k, q, float(np.sum(lam_w[idx])), float(np.sum(g_p[idx])))
 
@@ -907,18 +898,18 @@ def weighted_sieve_experiment(X: int, params: WeightedSieveParams,
     rough = np.ones(X, dtype=bool)
     inner = np.zeros(X, dtype=np.float64)
     wq_slices: list[tuple[int, list[slice]]] = []
-    for ell, k, q, idx in iter_quadratic_strikes(X, table,
-                                                 ell_max=int(y) + 1):
+    for ell, k, _q, idx, slices in iter_quadratic_strikes(X, table,
+                                                          ell_max=int(y) + 1):
+        del idx  # freed before the next level is built
         if ell == 2 or k > 1:
             continue
         if ell < z:
-            for s in _progression_slices(X, q, idx):
+            for s in slices:
                 rough[s] = False
         elif ell < y:
             # the progressions are disjoint: one addition per n, as in
             # np.add.at, in the same ell order
             w_ell = 1.0 - math.log(ell) / log_y
-            slices = _progression_slices(X, q, idx)
             for s in slices:
                 inner[s] += w_ell
             wq_slices.append((ell, slices))
@@ -1029,7 +1020,7 @@ def _u_rough(stats: QuadraticWindowStats, u: float) -> np.ndarray:
 def dartyge_survey(X: int, u: float, table: PrimeTable) -> ExperimentReport:
     """Distribution of log P+(n^2+1)/log n over n with spf(n) > n^(1/u)."""
     _check_window(X, min(X_FACTOR_CAP, table.limit // 2))
-    if u <= 1.0:
+    if not 1.0 < u < math.inf:
         raise ValueError(f"u must exceed 1, got {u}")
     stats = quadratic_window_stats(X, table)
     qual = _u_rough(stats, u)

@@ -76,16 +76,21 @@ def _mem_available_bytes() -> int | None:
     return None
 
 
+def _check_memory(need: int, what: str, error=ValueError) -> None:
+    """Raise error when what needs more than MemAvailable; a no-op where
+    /proc/meminfo cannot be read."""
+    available = _mem_available_bytes()
+    if available is not None and need > available:
+        raise error(f"{what} needs about {need / 2 ** 20:.0f} MiB, more than "
+                    f"the {available / 2 ** 20:.0f} MiB available")
+
+
 def sieve_primes(limit: int) -> PrimeTable:
     """Sieve of Eratosthenes with a smallest-prime-factor side table."""
     if not 2 <= limit <= MAX_SIEVE_LIMIT:
         raise ValueError(f"limit must be in [2, {MAX_SIEVE_LIMIT}], got {limit}")
-    need = (limit + 1) * SIEVE_BYTES_PER_ENTRY
-    available = _mem_available_bytes()
-    if available is not None and need > available:
-        raise ValueError(f"a prime table to {limit} needs about "
-                         f"{need / 2 ** 20:.0f} MiB, more than the "
-                         f"{available / 2 ** 20:.0f} MiB available")
+    _check_memory((limit + 1) * SIEVE_BYTES_PER_ENTRY,
+                  f"a prime table to {limit}")
     root = math.isqrt(limit)
     small = bytearray([1]) * (root + 1)  # primality up to sqrt(limit)
     for p in range(2, math.isqrt(root) + 1):

@@ -173,7 +173,7 @@ def build_buchstab_table(step: float = DEFAULT_STEP,
 
 def eval_F(s: float, table: SieveFunctionTable) -> float:
     """Upper linear-sieve function; closed forms to s=5, table beyond."""
-    if s <= 0.0 or s > table.s_max:
+    if not 0.0 < s <= table.s_max:  # NaN fails too
         raise TableDomainError(f"F defined on (0, {table.s_max}], got s={s}")
     if s <= 3.0:
         return TWO_E_GAMMA / s
@@ -185,7 +185,7 @@ def eval_F(s: float, table: SieveFunctionTable) -> float:
 
 def eval_f(s: float, table: SieveFunctionTable) -> float:
     """Lower linear-sieve function; 0 on (0,2], log form on [2,4], table beyond."""
-    if s <= 0.0 or s > table.s_max:
+    if not 0.0 < s <= table.s_max:
         raise TableDomainError(f"f defined on (0, {table.s_max}], got s={s}")
     if s <= 2.0:
         return 0.0
@@ -196,7 +196,7 @@ def eval_f(s: float, table: SieveFunctionTable) -> float:
 
 def buchstab_w(u: float, table: BuchstabTable) -> float:
     """Buchstab function; exact 1/u on [1,2], log form on [2,3], table beyond."""
-    if u < 1.0 or u > table.u_max:
+    if not 1.0 <= u <= table.u_max:
         raise TableDomainError(f"w defined on [1, {table.u_max}], got u={u}")
     if u <= 2.0:
         return 1.0 / u

@@ -86,7 +86,9 @@ def theorem2_integral(vartheta: float) -> TheoremReport:
     Antiderivative path is exact logarithms; an adaptive-quadrature path
     re-derives the total and must agree to 1e-6 or the run aborts.
     """
-    if not GAMMA_BREAKPOINTS[-2] <= Fraction(vartheta) < THETA_MAX:
+    # Fraction takes no NaN or infinity, so those fail before it
+    if not (math.isfinite(vartheta)
+            and GAMMA_BREAKPOINTS[-2] <= Fraction(vartheta) < THETA_MAX):
         raise ValueError(f"vartheta must lie in [32/41, 16/17), got {vartheta}")
     pieces = _theorem2_pieces(vartheta)
     total = sum(pieces)

@@ -228,11 +228,25 @@ def test_prime_table_beyond_memory_exits_1(capsys, monkeypatch):
                    "more than the 1 MiB available\n")
 
 
-def test_window_beyond_memory_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(experiments, "_mem_available_bytes", lambda: 2 ** 20)
-    code, out, err = run_cli(capsys, "empirical", "gpf", "--X", "100000")
+def _window_beyond_memory(capsys, monkeypatch, experiment):
+    # the prime table's check reads no limit, the window's reads 1 MiB
+    readings = iter([None, 2 ** 20])
+    monkeypatch.setattr(primes, "_mem_available_bytes",
+                        lambda: next(readings))
+    code, out, err = run_cli(capsys, "empirical", experiment, "--X", "100000")
     assert code == 1 and out == ""
-    assert err == ("error: the window of X = 100000 needs about 3 MiB, "
+    return err
+
+
+def test_window_beyond_memory_exits_1(capsys, monkeypatch):
+    err = _window_beyond_memory(capsys, monkeypatch, "gpf")
+    assert err == ("error: the window of X = 100000 needs about 2 MiB, "
+                   "more than the 1 MiB available\n")
+
+
+def test_chebyshev_beyond_memory_exits_1(capsys, monkeypatch):
+    err = _window_beyond_memory(capsys, monkeypatch, "chebyshev")
+    assert err == ("error: the window of X = 100000 needs about 4 MiB, "
                    "more than the 1 MiB available\n")
 
 
@@ -372,6 +386,44 @@ def test_config_missing_file_is_io_error(capsys):
                            "--config", "/nonexistent/path.cfg")
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("key,value,code", [
+    ("weight", "foo", 2), ("X", "2.5", 2), ("max_pq", "1e3", 2),
+    ("weight", "bump", 0)])
+def test_config_value_exits_as_its_flag_does(capsys, tmp_path, key, value,
+                                             code):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    by_config, _, _ = run_cli(capsys, "empirical", "q-ell",
+                              "--config", str(cfg))
+    flag = "--" + key.replace("_", "-")
+    by_flag, _, _ = run_cli(capsys, "empirical", "q-ell", flag, value)
+    assert by_config == by_flag == code
+
+
+# ------------------------------------------------------- out-of-range inputs
+
+@pytest.mark.parametrize("argv,named", [
+    ("functions eval F nan", "got s=nan"),
+    ("functions eval w nan", "got u=nan"),
+    ("verify thm2 --vartheta inf", "vartheta must"),
+    ("verify thm2 --vartheta nan", "vartheta must"),
+    ("empirical q-ell-u --X 1000 --u nan", "u must"),
+    ("empirical dartyge --X 1000 --u nan", "u must"),
+    ("empirical dartyge --X 1000 --u inf", "u must"),
+    ("empirical phi --X 1000 --z nan", "z must"),
+    ("empirical phi-coprime --X 1000 --z inf", "z must"),
+    ("empirical wolke --X 1000 --z nan", "z must"),
+    ("empirical wolke --X 100000 --k 10007", "k = 10007"),
+    ("empirical bv --X 100000 --k 10007", "k = 10007"),
+])
+def test_out_of_range_input_exits_1_naming_it(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and named in err
+    for raw in ("cannot convert", "integer ratio", "too large to convert"):
+        assert raw not in err
 
 
 # ------------------------------------------------------- plot-data / report

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sievekit import experiments
+from sievekit import experiments, primes
 from sievekit.experiments import (
     SHARP,
     A_d_count,
@@ -245,7 +246,7 @@ def test_strikes_reconstruct_factorizations(prime_table):
     X = 300
     n = np.arange(X + 1, 2 * X + 1, dtype=np.int64)
     acc = np.ones(X, dtype=object)
-    for ell, k, q, idx in iter_quadratic_strikes(X, prime_table):
+    for ell, k, q, idx, _slices in iter_quadratic_strikes(X, prime_table):
         assert q == ell ** k
         acc[idx] *= ell
     for i, nv in enumerate(map(int, n)):
@@ -363,19 +364,38 @@ def test_no_window_consumer_builds_the_full_n(prime_table, monkeypatch):
 
 def test_window_stats_refuse_a_window_beyond_available_memory(monkeypatch):
     # the estimate alone decides: numpy is never reached, nothing allocated
-    monkeypatch.setattr(experiments, "_mem_available_bytes",
+    monkeypatch.setattr(primes, "_mem_available_bytes",
                         lambda: 50 * 2 ** 20)
     monkeypatch.setattr(experiments, "np", None)
     X = 4 * 10 ** 6
     table = types.SimpleNamespace(limit=2 * X, _window={})
     with pytest.raises(experiments.WindowMemoryError,
-                       match=r"^the window of X = 4000000 needs about 111 "
+                       match=r"^the window of X = 4000000 needs about 95 "
                              r"MiB, more than the 50 MiB available$"):
         quadratic_window_stats(X, table)
 
 
+def test_window_byte_constants_bound_the_measured_peaks(prime_table):
+    # measured <= constant <= 1.25 measured, so a change that moves either
+    # peak must move its constant too
+    X = 10 ** 6
+    runs = [(experiments.WINDOW_BYTES_PER_N,
+             lambda: quadratic_window_stats(X, prime_table)),
+            (experiments._CHEBYSHEV_BYTES_PER_N,
+             lambda: chebyshev_decomposition(X, 0.847, SHARP, prime_table))]
+    for constant, run in runs:
+        prime_table._window.clear()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1] / X
+        finally:
+            tracemalloc.stop()
+        assert peak <= constant <= 1.25 * peak, (constant, peak)
+
+
 def test_window_memory_check_is_skipped_when_unreadable(monkeypatch):
-    monkeypatch.setattr(experiments, "_mem_available_bytes", lambda: None)
+    monkeypatch.setattr(primes, "_mem_available_bytes", lambda: None)
     table = sieve_primes(600)
     assert len(quadratic_window_stats(300, table).p_plus_m) == 300
 
@@ -430,7 +450,7 @@ def _generator_window_stats(X, table):
     omega = np.zeros(X, dtype=np.int8)
     big_omega = np.zeros(X, dtype=np.int8)
     p_plus = np.ones(X, dtype=np.int64)
-    for ell, k, _q, idx in iter_quadratic_strikes(X, table):
+    for ell, k, _q, idx, _slices in iter_quadratic_strikes(X, table):
         rem[idx] //= ell
         big_omega[idx] += 1
         if k == 1:
@@ -468,7 +488,7 @@ def _generator_chebyshev(X, vartheta, w, table, flat):
     H_dual = 0.0
     H = [0.0, 0.0, 0.0, 0.0]
     model_sum = 0.0
-    for ell, k, q, idx in iter_quadratic_strikes(X, table):
+    for ell, k, q, idx, _slices in iter_quadratic_strikes(X, table):
         rem[idx] //= ell
         log_ell = math.log(ell)
         H_dual += log_ell * float(np.sum(lam_w[idx]))
@@ -629,7 +649,7 @@ def test_batched_chebyshev_terms_match_generator(prime_table, monkeypatch, X,
     chebyshev_decomposition(X, 0.847, w, prime_table)
     lam_w, g_p = _window_weights(X, w, prime_table)
     want = [[], [], [], []]
-    for ell, k, _q, idx in iter_quadratic_strikes(X, prime_table):
+    for ell, k, _q, idx, _slices in iter_quadratic_strikes(X, prime_table):
         if ell <= math.isqrt(2 * X):
             continue
         log_ell = math.log(ell)
@@ -686,7 +706,7 @@ def test_strike_large_primes_levels_match_generator(prime_table, monkeypatch,
     n = np.arange(X + 1, 2 * X + 1, dtype=np.int64)
     want_rem = n * n + 1
     want = {}
-    for ell, k, _q, idx in iter_quadratic_strikes(X, prime_table):
+    for ell, k, _q, idx, _slices in iter_quadratic_strikes(X, prime_table):
         want_rem[idx] //= ell
         if ell > 2:
             want[ell, k] = idx.tolist()
@@ -711,18 +731,22 @@ def test_strike_large_primes_levels_match_generator(prime_table, monkeypatch,
 def test_progression_slices_rebuild_every_yield(prime_table):
     # X = 1 yields an empty ell = 2 level, and small windows have levels
     # where only one root's progression falls inside
-    sizes = set()
+    shapes = set()
     for X in [1, 2, 3, 5, 21, 650, 20000]:
-        window = np.arange(X)
-        for _ell, _k, q, idx in iter_quadratic_strikes(X, prime_table):
-            slices = experiments._progression_slices(X, q, idx)
-            got = [window[s] for s in slices]
+        window = np.arange(X, dtype=np.int64)
+        for _ell, _k, q, idx, slices in iter_quadratic_strikes(X,
+                                                               prime_table):
+            assert idx.dtype == np.int64
             assert np.array_equal(
-                np.concatenate(got) if got else window[:0], idx), (X, q)
-            sizes.add((len(idx) > 0, len(slices), q == 2))
+                np.concatenate([window[s] for s in slices]), idx), (X, q)
+            assert np.all(((X + 1 + idx) ** 2 + 1) % q == 0), (X, q)
+            # the smaller root's progression comes first
+            roots = [(X + 1 + s.start) % q for s in slices]
+            assert all(s.step == q for s in slices) and roots == sorted(roots)
+            shapes.add((len(idx) > 0, len(slices), q == 2))
     # empty; ell = 2; one odd progression; two odd progressions
-    assert sizes == {(False, 0, True), (True, 1, True), (True, 1, False),
-                     (True, 2, False)}
+    assert shapes == {(False, 1, True), (True, 1, True), (True, 1, False),
+                      (True, 2, False)}
 
 
 @pytest.mark.parametrize("block", [experiments.ROOT_BLOCK, 1000])
