@@ -145,7 +145,10 @@ MAX_TABLE_ROWS = 10 ** 6
 
 def _cmd_functions(args: argparse.Namespace) -> int:
     if args.action == "eval":
-        x = Fraction(args.x) if args.name == "gamma_theta" else float(args.x)
+        try:
+            x = (Fraction if args.name == "gamma_theta" else float)(args.x)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"x must be a number, got {args.x!r}") from None
         value = _function_evaluator(args.name, args.table_step)(x)
         _emit(f"{value:.17g}\n", args.out)
         return 0

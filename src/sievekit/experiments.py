@@ -12,8 +12,8 @@ split the sieve at ell_0 = sqrt(2X).  Primes ell <= ell_0 have long
 progressions and go through the per-ell generator iter_quadratic_strikes,
 which yields (ell, k, ell^k, idx, slices): the window indices of the one or
 two progressions struck, and the same progressions as basic slices.  The
-consumers write through those strided views rather than gathering at idx;
-only Chebyshev's sums read idx.  Primes above ell_0 go through
+consumers use those strided views alone; idx is yielded only for the oracle
+tests and the benchmark tracer's hit count.  Primes above ell_0 go through
 strike_large_primes, which finds their roots in one vectorized call per
 block of ROOT_BLOCK primes and scatters the hits in chunks with unbuffered
 ufunc.at updates.  Above ell_0 every ell^k with k >= 2 exceeds 2X, so it
@@ -332,11 +332,11 @@ def iter_quadratic_strikes(X: int, table: PrimeTable,
     are the same progressions as basic slices, whose views concatenate to
     the gather at idx.  The two are disjoint (r != -r mod an odd ell^k, and
     ell = 2 has one), so an in-place op on each view is the fancy-indexed
-    op on idx.  A consumer of the slices alone drops idx before it asks for
-    the next level, so that no two levels' index arrays are alive at once.
-    The window consumers run this per-ell loop up to ell_0 = sqrt(2X) and
-    strike_large_primes above it; the weighted sieve's pass below X^beta
-    and the oracle tests run it alone.
+    op on idx.  The consumers use the slices alone and drop idx before the
+    next level, so no two levels' index arrays are alive at once; idx is
+    yielded only for the oracle tests and the benchmark tracer's hit count.
+    The window consumers run this loop up to ell_0 = sqrt(2X) and
+    strike_large_primes above; the weighted sieve's pass runs it alone.
     """
     _check_window(X)
     lo = X + 1
@@ -580,27 +580,34 @@ def chebyshev_decomposition(X: int, vartheta: float, w: SmoothWeight,
     H = [0.0, 0.0, 0.0, 0.0]
     model_sum = 0.0
 
-    def fold(ell, k, q, sum_lam, sum_g):
+    def fold(ell, k, sum_lam, sum_g):
+        # the terms of ell^k in ascending (ell, k) order, each added left to
+        # right as += would to H_dual, to its one H and, in H1, to model_sum
         nonlocal H_dual, model_sum
-        log_ell = math.log(ell)
-        H_dual += log_ell * sum_lam
+        q = ell ** k
+        log_ell = np.array([math.log(v) for v in ell.tolist()])
+        H_dual = _left_fold(H_dual, log_ell * sum_lam)
         s_g = log_ell * sum_g
-        if q <= flat:
-            H[0] += s_g
-            model_sum += log_ell * _local_root_count(ell, k) / (q - q // ell)
-        elif k == 1 and ell <= level:
-            H[1] += s_g
-        elif k == 1:
-            H[2] += s_g
-        else:
-            H[3] += s_g
+        part = np.select([q <= flat, k > 1, ell <= level], [0, 3, 1], 2)
+        for j in range(4):
+            H[j] = _left_fold(H[j], s_g[part == j])
+        h1 = part == 0
+        rho_q = list(map(_local_root_count, ell[h1].tolist(), k[h1].tolist()))
+        model_sum = _left_fold(model_sum,
+                               log_ell[h1] * rho_q / (q - q // ell)[h1])
 
     cutoff = max(2, math.isqrt(2 * X))  # the split quadratic_window_stats uses
-    for ell, k, q, idx, slices in iter_quadratic_strikes(X, table,
-                                                         ell_max=cutoff):
+    terms = []  # (ell, k, sum of lam_w, sum of g_p) per level, folded at once
+    for ell, k, _q, idx, slices in iter_quadratic_strikes(X, table,
+                                                          ell_max=cutoff):
+        del idx  # freed before the next level is built
         for s in slices:
             rem[s] //= ell
-        fold(ell, k, q, float(np.sum(lam_w[idx])), float(np.sum(g_p[idx])))
+        # the views concatenate to the gather at idx, so np.sum adds alike
+        terms.append((ell, k,
+                      np.sum(np.concatenate([lam_w[s] for s in slices])),
+                      np.sum(np.concatenate([g_p[s] for s in slices]))))
+    fold(*map(np.array, zip(*terms)))
 
     def visit(ells, levels):
         # Bit-identical to the per-ell loop.  Each level keeps the slots in
@@ -610,38 +617,25 @@ def chebyshev_decomposition(X: int, vartheta: float, w: SmoothWeight,
         # the 1-D np.sum of that run.  Level 1 runs are in the generator's
         # order.  Deeper runs need not be, but above sqrt(2X) ell^k > 2X
         # for k >= 2, so they hold at most 2 hits, which add alike in any
-        # order.  q > ell > X^flat, so no term lands in H1 or the model sum.
-        nonlocal H_dual
+        # order.
         m = len(ells)
-        log_ell = np.array([math.log(ell) for ell in ells.tolist()])
-        # one term per (ell, k), keyed slot * depth + k - 1 for the fold
-        # order, with the index of the H it goes to
-        depth = len(levels)
-        keys, to_H, lam_terms, g_terms = [], [], [], []
-        for k, (slot, idx) in enumerate(levels, 1):
+        sums = np.zeros((2, m, len(levels)))
+        struck = np.zeros((m, len(levels)), dtype=bool)
+        for k, (slot, idx) in enumerate(levels):
             counts = np.bincount(slot, minlength=m)
             starts = np.cumsum(counts) - counts
-            sum_lam = np.zeros(m)
-            sum_g = np.zeros(m)
             # a set, not np.unique: that imports numpy.ma mid-pass, and the
             # new module objects pin freed heap
             for run in sorted(set(counts.tolist()) - {0}):
                 rows = np.flatnonzero(counts == run)
                 at = idx[starts[rows, None] + np.arange(run)]
-                sum_lam[rows] = np.sum(lam_w[at], axis=1)
-                sum_g[rows] = np.sum(g_p[at], axis=1)
-            hit = np.flatnonzero(counts)
-            keys.append(hit * depth + k - 1)
-            to_H.append(np.where(ells[hit] <= level, 1, 2) if k == 1
-                        else np.full(len(hit), 3))
-            lam_terms.append(log_ell[hit] * sum_lam[hit])
-            g_terms.append(log_ell[hit] * sum_g[hit])
-        order = np.argsort(np.concatenate(keys), kind="stable")
-        to_H = np.concatenate(to_H)[order]
-        g_terms = np.concatenate(g_terms)[order]
-        H_dual = _left_fold(H_dual, np.concatenate(lam_terms)[order])
-        for j in (1, 2, 3):
-            H[j] = _left_fold(H[j], g_terms[to_H == j])
+                sums[0, rows, k] = np.sum(lam_w[at], axis=1)
+                sums[1, rows, k] = np.sum(g_p[at], axis=1)
+            struck[:, k] = counts > 0
+        # a boolean read walks the C-ordered (slot, k - 1) grid row by row,
+        # which is the generator's (ell, k) order
+        slot, k = np.nonzero(struck)
+        fold(ells[slot], k + 1, sums[0][struck], sums[1][struck])
 
     strike_large_primes(X, table, cutoff, rem, visit)
     tail = rem > 1
@@ -897,7 +891,7 @@ def weighted_sieve_experiment(X: int, params: WeightedSieveParams,
     # sifting pass: m z-rough means no odd prime factor below z
     rough = np.ones(X, dtype=bool)
     inner = np.zeros(X, dtype=np.float64)
-    wq_slices: list[tuple[int, list[slice]]] = []
+    wq_slices: list[tuple[float, list[slice]]] = []  # (w_ell, its slices)
     for ell, k, _q, idx, slices in iter_quadratic_strikes(X, table,
                                                           ell_max=int(y) + 1):
         del idx  # freed before the next level is built
@@ -912,7 +906,7 @@ def weighted_sieve_experiment(X: int, params: WeightedSieveParams,
             w_ell = 1.0 - math.log(ell) / log_y
             for s in slices:
                 inner[s] += w_ell
-            wq_slices.append((ell, slices))
+            wq_slices.append((w_ell, slices))
 
     eligible = _odd_window_primes(stats)
     eligible &= rough
@@ -926,11 +920,11 @@ def weighted_sieve_experiment(X: int, params: WeightedSieveParams,
     del damped
 
     sum_wq_SAq = 0.0
-    for ell, slices in wq_slices:
+    for w_ell, slices in wq_slices:
         # the views concatenate to the gather g_vals[idx] of the yield, in
         # its order, so the pairwise sum is bitwise the same
         g_ell = np.concatenate([g_vals[s] for s in slices])
-        sum_wq_SAq += (1.0 - math.log(ell) / log_y) * float(np.sum(g_ell))
+        sum_wq_SAq += w_ell * float(np.sum(g_ell))
     psi_identity = S_A - sum_wq_SAq / eta
     identity_rel = abs(psi_direct - psi_identity) / max(1.0, abs(psi_direct))
 

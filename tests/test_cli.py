@@ -407,6 +407,9 @@ def test_config_value_exits_as_its_flag_does(capsys, tmp_path, key, value,
 @pytest.mark.parametrize("argv,named", [
     ("functions eval F nan", "got s=nan"),
     ("functions eval w nan", "got u=nan"),
+    ("functions eval gamma_theta nan", "x must be a number, got 'nan'"),
+    ("functions eval gamma_theta inf", "x must be a number, got 'inf'"),
+    ("functions eval gamma_theta abc", "x must be a number, got 'abc'"),
     ("verify thm2 --vartheta inf", "vartheta must"),
     ("verify thm2 --vartheta nan", "vartheta must"),
     ("empirical q-ell-u --X 1000 --u nan", "u must"),

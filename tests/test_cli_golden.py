@@ -14,7 +14,9 @@ bt also at theta = 0.9), bt at X = 1e5 and Q_ell with its oracle at
 X = 3e5 under smooth weights, the Chebyshev decomposition and
 two surveys at X = 3e5 (large enough that the batched strike pass spans
 several chunks), the Chebyshev decomposition at the smallest valid window
-X = 650 and at X = 100003 under both smooth weights (one at vartheta = 0.6),
+X = 650, at X = 100003 under both smooth weights (one at vartheta = 0.6)
+and at X = 1000003 (plateau, vartheta = 0.6), where the batched pass
+reaches deeper levels,
 the exhaustive Weil scan, literal Jacobi-symbol sums at
 pq near 1e5 (one with gcd(m, pq) > 1) and at pq = 15 with m = -1 and
 m = 10^30, and ``verify all``.
@@ -99,6 +101,8 @@ GOLDEN = [
      "c9f19d332b39014660a5ba0955544da170ea93d178010ff556cdeb1acf6e087b"),
     ("empirical chebyshev --X 100003 --weight bump --vartheta 0.6", 0,
      "0ae15fd79f58a05db3f89d1a5f67e11e549a36809c2bc3697ea9cb6ef97d4d02"),
+    ("empirical chebyshev --X 1000003 --weight plateau --vartheta 0.6", 0,
+     "c3a24a6b9984fbfa887afb235a07636d7c1c314a7fb2d1325be6be54afb72e53"),
     ("empirical dartyge --X 300000", 0,
      "f42974fe6b5a631ea4135d3318a43b5c9c04ae2250aa7135a386b076b2cd17b4"),
     ("empirical almost-prime --X 300000", 0,

@@ -634,11 +634,12 @@ def _window_weights(X, w, table):
 @pytest.mark.parametrize("X,w", [(SEVERAL_CHUNKS_X, SHARP), (20001, PLATEAU)])
 def test_batched_chebyshev_terms_match_generator(prime_table, monkeypatch, X,
                                                  w):
-    # An ulp of one term lies far below an ulp of the H it joins, and two
+    # An ulp of one term lies far below an ulp of the sum it joins, and two
     # swapped terms seldom change a rounded sum, so the aggregates can hide
-    # a misrounded or misplaced term.  The batched pass hands each
-    # chunk's terms to four left folds (H_dual, H2, H3, H4); together they
-    # must be the per-ell loop's terms above the cutoff, in its order.
+    # a misrounded or misplaced term.  Each call of the fold, one for the
+    # per-ell loop and one per batched chunk, hands its terms to six left
+    # folds (H_dual, H1..H4, the H1 model sum); together they must be the
+    # terms of a per-ell loop over every ell <= 2X, in its order.
     folds = []
     real = experiments._left_fold
 
@@ -648,16 +649,58 @@ def test_batched_chebyshev_terms_match_generator(prime_table, monkeypatch, X,
     monkeypatch.setattr(experiments, "_left_fold", recorded)
     chebyshev_decomposition(X, 0.847, w, prime_table)
     lam_w, g_p = _window_weights(X, w, prime_table)
-    want = [[], [], [], []]
-    for ell, k, _q, idx, _slices in iter_quadratic_strikes(X, prime_table):
-        if ell <= math.isqrt(2 * X):
-            continue
+    flat = x_flat(X)
+    want = [[], [], [], [], [], []]
+    for ell, k, q, idx, _slices in iter_quadratic_strikes(X, prime_table):
         log_ell = math.log(ell)
         want[0].append(log_ell * float(np.sum(lam_w[idx])))
-        part = 3 if k > 1 else 1 if ell <= X ** 0.847 else 2
+        part = 1 if q <= flat else 4 if k > 1 else \
+            2 if ell <= X ** 0.847 else 3
         want[part].append(log_ell * float(np.sum(g_p[idx])))
-    assert [sum(folds[j::4], []) for j in range(4)] == want
+        if q <= flat:
+            want[5].append(log_ell * (1 if ell == 2 else 2) / (q - q // ell))
+    assert len(folds) > 6 and len(folds) % 6 == 0
+    assert [sum(folds[j::6], []) for j in range(6)] == want
     assert min(map(len, want)) > 0
+
+
+def _refuse(*_args):
+    raise AssertionError("a window consumer read idx")
+
+
+# Stands in for a yield's idx: reading an attribute, converting, indexing,
+# iterating, testing, hashing or computing with it raises.
+_Untouchable = type("_Untouchable", (), {name: _refuse for name in (
+    "__getattr__", "__array__", "__len__", "__iter__", "__getitem__",
+    "__bool__", "__index__", "__int__", "__float__", "__hash__", "__eq__",
+    "__ne__", "__lt__", "__le__", "__gt__", "__ge__", "__add__", "__radd__",
+    "__sub__", "__rsub__", "__mul__", "__rmul__", "__floordiv__", "__mod__")})
+
+
+@pytest.mark.parametrize("X", [650, 20001, SEVERAL_CHUNKS_X])
+def test_no_window_consumer_reads_idx(monkeypatch, X):
+    # The consumers read only the slices of a yield; idx is yielded for the
+    # oracle tests and the benchmark's hit count.
+    params = WeightedSieveParams(alpha=1.0 / 12.0, beta=0.622,
+                                 delta=min(solve_delta(), 0.622), r=4)
+
+    def run():
+        table = sieve_primes(2 * X)
+        stats = quadratic_window_stats(X, table)
+        arrays = [(name, a.dtype.str, a.tobytes())
+                  for name, a in vars(stats).items() if name != "X"]
+        return (arrays,
+                to_json(chebyshev_decomposition(X, 0.847, PLATEAU, table)),
+                to_json(weighted_sieve_experiment(X, params, SHARP, table)))
+    want = run()
+    real = experiments.iter_quadratic_strikes
+
+    def untouchable_idx(*args, **kwargs):
+        for ell, k, q, _idx, slices in real(*args, **kwargs):
+            yield ell, k, q, _Untouchable(), slices
+    monkeypatch.setattr(experiments, "iter_quadratic_strikes",
+                        untouchable_idx)
+    assert run() == want
 
 
 def test_row_sums_are_the_one_dimensional_sums():
