@@ -51,13 +51,20 @@ def _check_window(X: int, cap: int = X_OVERFLOW_CAP) -> None:
         raise OverflowGuardError(f"X must be in [1, {cap}], got {X}")
 
 
-# Peaks per n beyond the prime table, by tracemalloc at X = 5e5, 1e6, 3e6.
-# quadratic_window_stats: 24.4 B, at the ell = 5 level: rem and p_plus
-# (16 B), omega and big_omega (2 B), and that level's two int64 progressions
-# with their concatenation (6.4 B).  chebyshev_decomposition: 37.7 to 37.9 B,
-# in its cofactor step: lam_w, g_p and rem (24 B) and the gathers there.
-WINDOW_BYTES_PER_N = 25
-_CHEBYSHEV_BYTES_PER_N = 38
+# Peaks per n beyond the prime table, by tracemalloc at X = 5e5, 1e6, 3e6
+# with the window memo cleared first.  quadratic_window_stats: 22.0 B, at
+# the ell = 5 level: rem and p_plus (16 B), omega and big_omega (2 B), and
+# that level's one int64 buffer of both progressions (3.2 B).
+# WINDOW_BYTES_PER_N also covers the surveys that build the window:
+# dartyge_survey peaks at 24.4 to 25.8 B, the most at 5e5.
+# chebyshev_decomposition: 31.9 to 32.3 B, in its cofactor step: lam_w, g_p
+# and rem's buffer holding the logs (24 B), the tail mask and one gather at
+# it.  weighted_sieve_experiment: 29.7 to 30.0 B under the sharp weight and
+# up to 32.9 B under plateau, while g_vals is filled beside the memo, inner
+# and the masks.
+WINDOW_BYTES_PER_N = 26
+_CHEBYSHEV_BYTES_PER_N = 33
+_WEIGHTED_BYTES_PER_N = 33
 
 
 class WindowMemoryError(ValueError):
@@ -358,14 +365,20 @@ def iter_quadratic_strikes(X: int, table: PrimeTable,
             starts = [s for s in ((r - lo) % q, (q - r - lo) % q) if s < size]
             if not starts:
                 break  # deeper levels strike subsets of this one
-            idx = np.concatenate([np.arange(s, size, q, dtype=np.int64)
-                                  for s in starts])
+            # both progressions in one buffer: the first one's arange runs
+            # on for the second's count, which is then shifted in place
+            counts = [(size - 1 - s) // q + 1 for s in starts]
+            idx = np.arange(starts[0], starts[0] + sum(counts) * q, q,
+                            dtype=np.int64)
+            if len(starts) == 2:
+                idx[counts[0]:] += starts[1] - starts[0] - counts[0] * q
             yield ell, k, q, idx, [slice(s, None, q) for s in starts]
             del idx
 
 
 STRIKE_CHUNK_HITS = 1 << 14   # bound on the hits scattered per chunk
 ROOT_BLOCK = 1 << 14          # primes per sqrt_minus_one_batch call
+LOG_CHUNK = 1 << 14           # cofactors per np.log call in the Chebyshev tail
 
 
 def strike_large_primes(X: int, table: PrimeTable, ell_min: int,
@@ -639,9 +652,18 @@ def chebyshev_decomposition(X: int, vartheta: float, w: SmoothWeight,
 
     strike_large_primes(X, table, cutoff, rem, visit)
     tail = rem > 1
-    tail_logs = np.log(rem[tail].astype(np.float64))
-    H_dual += float(np.sum(lam_w[tail] * tail_logs))
-    H[2] += float(np.sum(g_p[tail] * tail_logs))  # tail primes exceed X^vartheta
+    # log of each cofactor written over rem's own buffer, a chunk at a time
+    # (one np.log into the float view would copy all of rem first), then
+    # the products formed in place: the gathers at tail hold the same
+    # products, in the same order and number, so np.sum adds them alike
+    logs = rem.view(np.float64)
+    for a in range(0, X, LOG_CHUNK):
+        chunk = rem[a:a + LOG_CHUNK].astype(np.float64)
+        logs[a:a + LOG_CHUNK] = np.log(chunk, out=chunk)
+    lam_w *= logs
+    g_p *= logs
+    H_dual += float(np.sum(lam_w[tail]))
+    H[2] += float(np.sum(g_p[tail]))  # tail primes exceed X^vartheta
 
     H1_model = w.mass * X * model_sum / math.log(X)
     rel = abs(H_direct - H_dual) / abs(H_direct)
@@ -852,13 +874,6 @@ def square_sieve_count(X: int, L: int, table: PrimeTable) -> int:
 # ---------------------------------------------------------------------------
 # weighted sieve and the theorem surveys
 
-def _window_ratios(X: int) -> np.ndarray:
-    """n / X for every n in the window, divided in place."""
-    x = np.arange(X + 1, 2 * X + 1, dtype=np.float64)
-    x /= X
-    return x
-
-
 def _odd_window_primes(stats: QuadraticWindowStats) -> np.ndarray:
     """Mask of the odd primes in the window; the even n sit at every other
     index, starting at 0 when X + 1 is even."""
@@ -878,6 +893,9 @@ def weighted_sieve_experiment(X: int, params: WeightedSieveParams,
     the count of survivors with few prime factors, and the exhaustive check
     of the weight inequality on squarefree survivors.
     """
+    _check_window(X, min(X_FACTOR_CAP, table.limit // 2))
+    _check_memory(X * _WEIGHTED_BYTES_PER_N, f"the window of X = {X}",
+                  WindowMemoryError)
     stats = quadratic_window_stats(X, table)
     z = X ** params.alpha
     y = X ** params.beta
@@ -910,14 +928,21 @@ def weighted_sieve_experiment(X: int, params: WeightedSieveParams,
 
     eligible = _odd_window_primes(stats)
     eligible &= rough
-    g_vals = np.where(eligible, w.values(_window_ratios(X)), 0.0)
+    del rough
+    # g(n/X) at the eligible n alone, 0 elsewhere; (X + 1 + i) / X is the
+    # float division n / X elementwise, as over the whole window
+    at = np.flatnonzero(eligible)
+    g_vals = np.zeros(X, dtype=np.float64)
+    g_vals[at] = w.values((X + 1 + at).astype(np.float64) / X)
     S_A = float(np.sum(g_vals))
-    # g_vals * (1 - inner / eta) in one temporary; x * y is y * x bitwise
-    damped = inner / eta
-    np.subtract(1.0, damped, out=damped)
-    damped *= g_vals
-    psi_direct = float(np.sum(damped))
-    del damped
+    below_eta = inner < eta
+    # g_vals * (1 - inner / eta) over inner's own buffer (x * y is y * x
+    # bitwise)
+    inner /= eta
+    np.subtract(1.0, inner, out=inner)
+    inner *= g_vals
+    psi_direct = float(np.sum(inner))
+    del inner
 
     sum_wq_SAq = 0.0
     for w_ell, slices in wq_slices:
@@ -929,7 +954,7 @@ def weighted_sieve_experiment(X: int, params: WeightedSieveParams,
     identity_rel = abs(psi_direct - psi_identity) / max(1.0, abs(psi_direct))
 
     omega_half = stats.big_omega_m - 1  # m = (p^2+1)/2 drops the single 2
-    positive = eligible & (g_vals > 0.0) & (inner < eta)
+    positive = eligible & (g_vals > 0.0) & below_eta
     few_factors = positive & (omega_half <= params.r)
 
     # weight inequality on squarefree z-rough survivors with positive weight

@@ -222,9 +222,9 @@ def test_readme_table_is_within_row_cap(capsys):
 def test_prime_table_beyond_memory_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(primes, "_mem_available_bytes", lambda: 2 ** 20)
     monkeypatch.setattr(primes, "np", None)
-    code, out, err = run_cli(capsys, "empirical", "q-ell", "--X", "100000")
+    code, out, err = run_cli(capsys, "empirical", "q-ell", "--X", "200000")
     assert code == 1 and out == ""
-    assert err == ("error: a prime table to 200000 needs about 2 MiB, "
+    assert err == ("error: a prime table to 400000 needs about 2 MiB, "
                    "more than the 1 MiB available\n")
 
 
@@ -246,7 +246,14 @@ def test_window_beyond_memory_exits_1(capsys, monkeypatch):
 
 def test_chebyshev_beyond_memory_exits_1(capsys, monkeypatch):
     err = _window_beyond_memory(capsys, monkeypatch, "chebyshev")
-    assert err == ("error: the window of X = 100000 needs about 4 MiB, "
+    assert err == ("error: the window of X = 100000 needs about 3 MiB, "
+                   "more than the 1 MiB available\n")
+
+
+def test_weighted_beyond_memory_exits_1(capsys, monkeypatch):
+    # refused by the weighted sieve's own estimate, before the window's
+    err = _window_beyond_memory(capsys, monkeypatch, "weighted")
+    assert err == ("error: the window of X = 100000 needs about 3 MiB, "
                    "more than the 1 MiB available\n")
 
 

@@ -16,7 +16,8 @@ two surveys at X = 3e5 (large enough that the batched strike pass spans
 several chunks), the Chebyshev decomposition at the smallest valid window
 X = 650, at X = 100003 under both smooth weights (one at vartheta = 0.6)
 and at X = 1000003 (plateau, vartheta = 0.6), where the batched pass
-reaches deeper levels,
+reaches deeper levels, and at X = 501878 (the benchmark's window size), the
+weighted sieve at X = 100003 under both smooth weights,
 the exhaustive Weil scan, literal Jacobi-symbol sums at
 pq near 1e5 (one with gcd(m, pq) > 1) and at pq = 15 with m = -1 and
 m = 10^30, and ``verify all``.
@@ -103,6 +104,12 @@ GOLDEN = [
      "0ae15fd79f58a05db3f89d1a5f67e11e549a36809c2bc3697ea9cb6ef97d4d02"),
     ("empirical chebyshev --X 1000003 --weight plateau --vartheta 0.6", 0,
      "c3a24a6b9984fbfa887afb235a07636d7c1c314a7fb2d1325be6be54afb72e53"),
+    ("empirical chebyshev --X 501878", 0,
+     "4d05ef18c45b4518517019f1f4f049e13b974556b6f31dec3222e384312e95ed"),
+    ("empirical weighted --X 100003 --weight bump", 0,
+     "c5b965a8fa560bbc3766280a068fc7ca564a2332555a33cd7a2d3ff1b87b4823"),
+    ("empirical weighted --X 100003 --weight plateau", 0,
+     "bef90d807c0694ecba9f7ea97f24cbc6571861c23832c3100b2cd1d2635f1884"),
     ("empirical dartyge --X 300000", 0,
      "f42974fe6b5a631ea4135d3318a43b5c9c04ae2250aa7135a386b076b2cd17b4"),
     ("empirical almost-prime --X 300000", 0,

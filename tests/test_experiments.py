@@ -370,19 +370,46 @@ def test_window_stats_refuse_a_window_beyond_available_memory(monkeypatch):
     X = 4 * 10 ** 6
     table = types.SimpleNamespace(limit=2 * X, _window={})
     with pytest.raises(experiments.WindowMemoryError,
-                       match=r"^the window of X = 4000000 needs about 95 "
+                       match=r"^the window of X = 4000000 needs about 99 "
                              r"MiB, more than the 50 MiB available$"):
         quadratic_window_stats(X, table)
 
 
+def test_weighted_sieve_refuses_a_window_beyond_available_memory(
+        monkeypatch):
+    # its own estimate decides before the window's: nothing allocated
+    monkeypatch.setattr(primes, "_mem_available_bytes",
+                        lambda: 100 * 2 ** 20)
+    monkeypatch.setattr(experiments, "np", None)
+    X = 4 * 10 ** 6
+    table = types.SimpleNamespace(limit=2 * X, _window={})
+    params = WeightedSieveParams(alpha=1.0 / 12.0, beta=0.622,
+                                 delta=min(solve_delta(), 0.622), r=4)
+    with pytest.raises(experiments.WindowMemoryError,
+                       match=r"^the window of X = 4000000 needs about 126 "
+                             r"MiB, more than the 100 MiB available$"):
+        weighted_sieve_experiment(X, params, SHARP, table)
+
+
 def test_window_byte_constants_bound_the_measured_peaks(prime_table):
-    # measured <= constant <= 1.25 measured, so a change that moves either
-    # peak must move its constant too
+    # measured <= constant <= 1.25 measured, so a change that moves a peak
+    # must move the constant that guards it too; each run builds the window
+    # afresh, and the weighted sieve's constant covers every weight mode
     X = 10 ** 6
+    params = WeightedSieveParams(alpha=1.0 / 12.0, beta=0.622,
+                                 delta=min(solve_delta(), 0.622), r=4)
     runs = [(experiments.WINDOW_BYTES_PER_N,
              lambda: quadratic_window_stats(X, prime_table)),
+            (experiments.WINDOW_BYTES_PER_N,
+             lambda: dartyge_survey(X, 11.2, prime_table)),
             (experiments._CHEBYSHEV_BYTES_PER_N,
-             lambda: chebyshev_decomposition(X, 0.847, SHARP, prime_table))]
+             lambda: chebyshev_decomposition(X, 0.847, SHARP, prime_table)),
+            (experiments._WEIGHTED_BYTES_PER_N,
+             lambda: weighted_sieve_experiment(X, params, SHARP,
+                                               prime_table)),
+            (experiments._WEIGHTED_BYTES_PER_N,
+             lambda: weighted_sieve_experiment(X, params, PLATEAU,
+                                               prime_table))]
     for constant, run in runs:
         prime_table._window.clear()
         tracemalloc.start()

@@ -1,6 +1,7 @@
 """Prime tables, factorization, and the a^2 + 1 congruence machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -363,8 +364,22 @@ def test_sieve_refuses_a_table_beyond_available_memory(monkeypatch):
     monkeypatch.setattr(primes, "_mem_available_bytes", lambda: 50 * 2 ** 20)
     monkeypatch.setattr(primes, "np", None)
     with pytest.raises(ValueError, match=r"^a prime table to 10000000 needs "
-                       r"about 105 MiB, more than the 50 MiB available$"):
+                       r"about 57 MiB, more than the 50 MiB available$"):
         sieve_primes(10 ** 7)
+
+
+def test_sieve_byte_constant_bounds_the_measured_peak():
+    # measured <= constant <= 1.25 measured, so a change that moves the peak
+    # must move the constant too
+    limit = 2 * 10 ** 6
+    tracemalloc.start()
+    try:
+        sieve_primes(limit)
+        peak = tracemalloc.get_traced_memory()[1] / (limit + 1)
+    finally:
+        tracemalloc.stop()
+    constant = primes.SIEVE_BYTES_PER_ENTRY
+    assert peak <= constant <= 1.25 * peak, (constant, peak)
 
 
 def test_sieve_skips_the_memory_check_when_unreadable(monkeypatch):
