@@ -197,8 +197,13 @@ def _run_experiment(args: argparse.Namespace):
                   or report.counters["bound_holds"])
         return report, ok
 
-    table = sieve_primes(max(2 * args.X, 10 ** 5))
     X = args.X
+    if X > experiments.X_FACTOR_CAP and name in (
+            "bv", "wolke", "chebyshev", "bt", "square-sieve", "weighted",
+            "almost-prime", "gpf", "dartyge"):
+        # the experiment would refuse this X, so refuse it before the table
+        experiments._check_window(X, experiments.X_FACTOR_CAP)
+    table = sieve_primes(max(2 * X, 10 ** 5))
     if name == "q-ell":
         value = experiments.Q_ell(X, args.ell, w, table)
         params = {"X": X, "ell": args.ell, "weight": args.weight}

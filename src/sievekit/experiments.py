@@ -8,12 +8,15 @@ factor up to 2X.  What remains per n is either 1 or a single prime > 2X,
 because two such factors would exceed n^2 + 1.
 
 Both window consumers, quadratic_window_stats and chebyshev_decomposition,
-split the sieve at ell_0 = sqrt(2X).  Primes ell <= ell_0 have long
-progressions and go through the per-ell generator iter_quadratic_strikes,
-which yields (ell, k, ell^k, idx, slices): the window indices of the one or
-two progressions struck, and the same progressions as basic slices.  The
-consumers use those strided views alone; idx is yielded only for the oracle
-tests and the benchmark tracer's hit count.  Primes above ell_0 go through
+run that sieve through one engine, _strike_window, which owns the n^2 + 1
+buffer, the split at ell_0 = sqrt(2X) and the check that no leftover lies
+in (1, 2X]; each consumer hands it only its bookkeeping.
+Primes ell <= ell_0 have long progressions and go through the per-ell
+generator iter_quadratic_strikes, which yields (ell, k, ell^k, idx, slices):
+the window indices of the one or two progressions struck, and the same
+progressions as basic slices.  The engine and the consumers use those
+strided views alone; idx is yielded only for the oracle tests and the
+benchmark tracer's hit count.  Primes above ell_0 go through
 strike_large_primes, which finds their roots in one vectorized call per
 block of ROOT_BLOCK primes and scatters the hits in chunks with unbuffered
 ufunc.at updates.  Above ell_0 every ell^k with k >= 2 exceeds 2X, so it
@@ -339,15 +342,14 @@ def iter_quadratic_strikes(X: int, table: PrimeTable,
     are the same progressions as basic slices, whose views concatenate to
     the gather at idx.  The two are disjoint (r != -r mod an odd ell^k, and
     ell = 2 has one), so an in-place op on each view is the fancy-indexed
-    op on idx.  The consumers use the slices alone and drop idx before the
+    op on idx.  Its callers use the slices alone and drop idx before the
     next level, so no two levels' index arrays are alive at once; idx is
     yielded only for the oracle tests and the benchmark tracer's hit count.
-    The window consumers run this loop up to ell_0 = sqrt(2X) and
-    strike_large_primes above; the weighted sieve's pass runs it alone.
+    _strike_window runs this loop up to ell_0 = sqrt(2X) for both window
+    consumers; the weighted sieve's pass runs it alone.
     """
     _check_window(X)
     lo = X + 1
-    size = X
     m_max = 4 * X * X + 1
     top = 2 * X if ell_max is None else min(ell_max, 2 * X)
     if table.limit < top:
@@ -355,19 +357,19 @@ def iter_quadratic_strikes(X: int, table: PrimeTable,
 
     if top >= 2:
         first_odd = 0 if lo % 2 == 1 else 1
-        yield (2, 1, 2, np.arange(first_odd, size, 2, dtype=np.int64),
+        yield (2, 1, 2, np.arange(first_odd, X, 2, dtype=np.int64),
                [slice(first_odd, None, 2)])
 
     for ell in map(int, table.primes_between(2, top)):
         if ell % 4 != 1:
             continue
         for k, (q, r) in enumerate(sqrt_minus_one_lifts(ell, m_max), 1):
-            starts = [s for s in ((r - lo) % q, (q - r - lo) % q) if s < size]
+            starts = [s for s in ((r - lo) % q, (q - r - lo) % q) if s < X]
             if not starts:
                 break  # deeper levels strike subsets of this one
             # both progressions in one buffer: the first one's arange runs
             # on for the second's count, which is then shifted in place
-            counts = [(size - 1 - s) // q + 1 for s in starts]
+            counts = [(X - 1 - s) // q + 1 for s in starts]
             idx = np.arange(starts[0], starts[0] + sum(counts) * q, q,
                             dtype=np.int64)
             if len(starts) == 2:
@@ -398,13 +400,14 @@ def strike_large_primes(X: int, table: PrimeTable, ell_min: int,
     root's progression first, each in ascending n.  Deeper levels keep the
     entries of the level above that ell still divides.  Two primes can hit
     the same n, so rem is updated with the unbuffered np.floor_divide.at.
+    _strike_window calls this above ell_0 = sqrt(2X) for both window
+    consumers.
     """
     _check_window(X)
     if ell_min < 2:
         raise ValueError(f"ell_min must be >= 2 (ell = 2 is not batched), "
                          f"got {ell_min}")
     lo = X + 1
-    size = X
     primes = table.primes_between(ell_min, 2 * X)
     primes = primes[primes % 4 == 1]
     start = 0
@@ -425,7 +428,7 @@ def strike_large_primes(X: int, table: PrimeTable, ell_min: int,
         first = np.empty(len(step), dtype=np.int64)
         first[0::2] = (roots - lo) % ells
         first[1::2] = (ells - roots - lo) % ells
-        count = np.maximum((size - first + step - 1) // step, 0)
+        count = np.maximum((X - first + step - 1) // step, 0)
         prog = np.repeat(np.arange(len(step)), count)
         offset = np.arange(len(prog)) - np.repeat(np.cumsum(count) - count,
                                                    count)
@@ -440,6 +443,39 @@ def strike_large_primes(X: int, table: PrimeTable, ell_min: int,
             slot, idx = slot[deeper], idx[deeper]
         if levels:
             visit(ells, levels)
+
+
+def _strike_window(X: int, table: PrimeTable, small, visit
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Divide every prime power up to 2X out of n^2 + 1 over (X, 2X].
+
+    The one place that knows the split at ell_0 = sqrt(2X).  Below it the
+    generator's levels are divided out through their slices, and once the
+    generator has finished (so no idx of it is alive) small(levels) gets
+    every (ell, k, slices) in the generator's order.  Above it
+    strike_large_primes divides in chunks and calls visit(ells, levels)
+    per chunk.  Returns rem, the cofactors left, and the mask tail =
+    rem > 1.  With every prime up to 2X struck, each leftover is a single
+    prime beyond 2X; a leftover in (1, 2X] means a prime was missed, and
+    raises ArithmeticError in every consumer.
+    """
+    rem = np.arange(X + 1, 2 * X + 1, dtype=np.int64)
+    rem *= rem
+    rem += 1
+    cutoff = max(2, math.isqrt(2 * X))  # progressions above are short
+    levels = []
+    for ell, k, _q, idx, slices in iter_quadratic_strikes(X, table,
+                                                          ell_max=cutoff):
+        del idx  # freed before the next level is built
+        for s in slices:
+            rem[s] //= ell
+        levels.append((ell, k, slices))
+    small(levels)
+    strike_large_primes(X, table, cutoff, rem, visit)
+    tail = rem > 1
+    if np.any(tail & (rem <= 2 * X)):
+        raise ArithmeticError("leftover cofactor is not a prime beyond 2X")
+    return rem, tail
 
 
 @dataclass(frozen=True)
@@ -478,23 +514,18 @@ def quadratic_window_stats(X: int, table: PrimeTable) -> QuadraticWindowStats:
     memo.clear()
     _check_memory(X * WINDOW_BYTES_PER_N, f"the window of X = {X}",
                   WindowMemoryError)
-    rem = np.arange(X + 1, 2 * X + 1, dtype=np.int64)
-    rem *= rem
-    rem += 1
     # Omega(n^2 + 1) <= log2(4 X_FACTOR_CAP^2 + 1) < 49 fits in int8
     omega = np.zeros(X, dtype=np.int8)
     big_omega = np.zeros(X, dtype=np.int8)
     p_plus = np.ones(X, dtype=np.int64)
-    cutoff = max(2, math.isqrt(2 * X))  # progressions above are short
-    for ell, k, _q, idx, slices in iter_quadratic_strikes(X, table,
-                                                          ell_max=cutoff):
-        del idx  # freed before the next level is built
-        for s in slices:
-            rem[s] //= ell
-            big_omega[s] += 1
-            if k == 1:
-                omega[s] += 1
-            p_plus[s] = ell
+
+    def small(levels):
+        for ell, k, slices in levels:
+            for s in slices:
+                big_omega[s] += 1
+                if k == 1:
+                    omega[s] += 1
+                p_plus[s] = ell
 
     one = np.int8(1)  # a Python int would take ufunc.at's slow path
 
@@ -506,10 +537,7 @@ def quadratic_window_stats(X: int, table: PrimeTable) -> QuadraticWindowStats:
         # primes ascend, so the largest one is the generator's last write
         np.maximum.at(p_plus, idx, ells[slot])
 
-    strike_large_primes(X, table, cutoff, rem, visit)
-    tail = rem > 1
-    if np.any(tail & (rem <= 2 * X)):
-        raise ArithmeticError("leftover cofactor is not a prime beyond 2X")
+    rem, tail = _strike_window(X, table, small, visit)
     # dense masked updates: a boolean gather would copy every leftover
     omega += tail
     big_omega += tail
@@ -569,8 +597,10 @@ def chebyshev_decomposition(X: int, vartheta: float, w: SmoothWeight,
     g_vals = w.values(p_win.astype(np.float64) / X)
     lam_w[idx_p] = np.log(p_win.astype(np.float64)) * g_vals
     g_p[idx_p] = g_vals
-    for p in map(int, table.primes_between(1, math.isqrt(2 * X))):
+    for p in map(int, table.primes):
         power = p * p
+        if power > 2 * X:  # the primes ascend: no later p has a power here
+            break
         while power <= 2 * X:
             if power > X:
                 lam_w[power - lo] = math.log(p) * weight_eval(w, power / X)
@@ -586,9 +616,6 @@ def chebyshev_decomposition(X: int, vartheta: float, w: SmoothWeight,
     del terms
 
     level = X ** vartheta
-    rem = np.arange(lo, 2 * X + 1, dtype=np.int64)
-    rem *= rem
-    rem += 1
     H_dual = 0.0
     H = [0.0, 0.0, 0.0, 0.0]
     model_sum = 0.0
@@ -609,18 +636,13 @@ def chebyshev_decomposition(X: int, vartheta: float, w: SmoothWeight,
         model_sum = _left_fold(model_sum,
                                log_ell[h1] * rho_q / (q - q // ell)[h1])
 
-    cutoff = max(2, math.isqrt(2 * X))  # the split quadratic_window_stats uses
-    terms = []  # (ell, k, sum of lam_w, sum of g_p) per level, folded at once
-    for ell, k, _q, idx, slices in iter_quadratic_strikes(X, table,
-                                                          ell_max=cutoff):
-        del idx  # freed before the next level is built
-        for s in slices:
-            rem[s] //= ell
-        # the views concatenate to the gather at idx, so np.sum adds alike
-        terms.append((ell, k,
-                      np.sum(np.concatenate([lam_w[s] for s in slices])),
-                      np.sum(np.concatenate([g_p[s] for s in slices]))))
-    fold(*map(np.array, zip(*terms)))
+    def small(levels):
+        # (ell, k, sum of lam_w, sum of g_p) per level, folded at once; the
+        # views concatenate to the gather at idx, so np.sum adds alike
+        fold(*map(np.array, zip(*[
+            (ell, k, np.sum(np.concatenate([lam_w[s] for s in slices])),
+             np.sum(np.concatenate([g_p[s] for s in slices])))
+            for ell, k, slices in levels])))
 
     def visit(ells, levels):
         # Bit-identical to the per-ell loop.  Each level keeps the slots in
@@ -650,8 +672,7 @@ def chebyshev_decomposition(X: int, vartheta: float, w: SmoothWeight,
         slot, k = np.nonzero(struck)
         fold(ells[slot], k + 1, sums[0][struck], sums[1][struck])
 
-    strike_large_primes(X, table, cutoff, rem, visit)
-    tail = rem > 1
+    rem, tail = _strike_window(X, table, small, visit)
     # log of each cofactor written over rem's own buffer, a chunk at a time
     # (one np.log into the float view would copy all of rem first), then
     # the products formed in place: the gathers at tail hold the same

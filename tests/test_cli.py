@@ -1,9 +1,14 @@
 """CLI surface: exit codes, determinism, config precedence, output shapes."""
 
+import contextlib
+import io
 import json
+import re
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sievekit import cli, experiments, primes, sieve_functions
 from sievekit.cli import main
@@ -345,6 +350,22 @@ def test_empirical_overflow_guard(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("experiment", [
+    "bv", "wolke", "chebyshev", "bt", "square-sieve", "weighted",
+    "almost-prime", "gpf", "dartyge"])
+def test_window_over_factor_cap_exits_1_before_the_prime_table(
+        capsys, monkeypatch, experiment):
+    # the experiment refuses this X, so the table to 2X (about 4 GB at
+    # X = 4e8) must not be sieved first
+    def refuse(limit):
+        raise AssertionError(f"sieved to {limit} before refusing X")
+    monkeypatch.setattr(cli, "sieve_primes", refuse)
+    X = experiments.X_FACTOR_CAP + 1
+    code, out, err = run_cli(capsys, "empirical", experiment, "--X", str(X))
+    assert code == 1 and out == ""
+    assert err == f"error: X must be in [1, {X - 1}], got {X}\n"
+
+
 # -------------------------------------------------------- config precedence
 
 def test_config_file_fills_defaults(capsys, tmp_path):
@@ -434,6 +455,78 @@ def test_out_of_range_input_exits_1_naming_it(capsys, argv, named):
     assert err.startswith("error: ") and named in err
     for raw in ("cannot convert", "integer ratio", "too large to convert"):
         assert raw not in err
+
+
+_FLOATS = ["-1", "0", "0.05", "0.5", "0.847", "0.99", "1", "2", "3.5",
+           "11.2", "12.2", "14", "1e400", "-inf", "inf", "nan", "1/2", "abc"]
+_INTS = ["-1", "0", "1", "2", "3", "5", "13", "650", "3000", "1e3", "abc"]
+_TABLE_STEPS = ["-0.01", "0", "1e-8", "0.001", "0.01", "nan", "inf"]
+
+
+def _options(ints=(), floats=(), choices=()):
+    """Up to four (flag, value) pairs, flattened into argv words."""
+    pairs = [(flag, _INTS) for flag in ints] + [
+        (flag, _FLOATS) for flag in floats] + list(choices)
+    pair = st.one_of([st.tuples(st.just(flag), st.sampled_from(values))
+                      for flag, values in pairs])
+    return st.lists(pair, max_size=4).map(
+        lambda ps: [word for p in ps for word in p])
+
+
+def _argv(*parts):
+    """Concatenate strategies of word lists (a str is one fixed word)."""
+    return st.tuples(*(st.just([p]) if isinstance(p, str) else p
+                       for p in parts)).map(lambda ws: sum(ws, []))
+
+
+def _one_of(values):
+    return st.sampled_from(values).map(lambda v: [v])
+
+
+_TABLE_STEP = _argv("--table-step", _one_of(_TABLE_STEPS))
+# Every window is X <= 3000 and every march coarse (table step >= 1e-3,
+# beta step >= 0.01), so no case costs more than a few milliseconds.
+_BOUNDED_ARGV = st.one_of(
+    _argv("verify", _one_of(["thm1", "thm2", "thm3", "all", "thm9"]),
+          _TABLE_STEP, _options(["--r"], ["--vartheta", "--u", "--theta0",
+                                          "--alpha", "--beta"])),
+    _argv("functions", "eval", _one_of([*cli.FUNCTION_NAMES, "G"]),
+          _one_of(_FLOATS), _TABLE_STEP),
+    _argv("functions", "table", _one_of(list(cli.FUNCTION_NAMES)),
+          _TABLE_STEP, _options(choices=[
+              ("--min", _FLOATS), ("--max", _FLOATS),
+              ("--step", ["0.01", "0.5", "0", "-1", "nan", "inf"])])),
+    _argv("empirical", _one_of(list(cli.EXPERIMENT_NAMES)), "--X",
+          _one_of(["-1", "0", "1", "2", "21", "300", "650", "2345", "3000",
+                   "abc"]),
+          _options(["--ell", "--k", "--d", "--a", "--L", "--p", "--q", "--m",
+                    "--r", "--max-pq"],
+                   ["--u", "--z", "--theta", "--vartheta", "--alpha",
+                    "--beta", "--epsilon0"],
+                   [("--weight", ["sharp", "bump", "plateau", "flat"])]),
+          st.sampled_from([[], ["--oracle"]])),
+    _argv("plot-data", _one_of(["c-beta", "c-alpha"]), _TABLE_STEP,
+          "--beta-step", _one_of(["0.01", "0.05", "0", "-1", "1", "nan"]),
+          _options(["--r"], ["--alpha"])))
+_RAW_PYTHON = re.compile("Traceback|has no attribute|unsupported operand|"
+                         "invalid literal|could not convert|"
+                         "math domain error")
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(argv=_BOUNDED_ARGV)
+def test_bounded_argv_keeps_the_exit_contract(argv):
+    # exit 0, 1 or 2; an exit-1 message names its cause in the program's
+    # own words; an exit 1 without one is a failed check with its report
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 1 and err.getvalue():
+        assert err.getvalue().startswith("error: "), argv
+        assert not _RAW_PYTHON.search(err.getvalue()), (argv, err.getvalue())
+    elif code == 1:
+        assert json.loads(out.getvalue()), argv
 
 
 # ------------------------------------------------------- plot-data / report

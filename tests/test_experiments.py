@@ -466,7 +466,9 @@ def test_window_memo_hits_match_fresh_tables(monkeypatch):
 
 # ------------------------------------- split strike pass against the generator
 
-ORACLE_WINDOWS = [1, 2, 3, 7, 300, 20000, 20001]
+# 13, 85 and 19405 put the split itself, isqrt(2X) = 5, 13 and 197, on a
+# prime = 1 (mod 4), which the generator strikes and the chunks do not
+ORACLE_WINDOWS = [1, 2, 3, 7, 13, 85, 300, 19405, 20000, 20001]
 SEVERAL_CHUNKS_X = 120_000   # the batched part of both consumers spans chunks
 
 
@@ -593,12 +595,12 @@ def _assert_chebyshev_matches_generator(X, table, w=SHARP, flat=None):
         assert rep.aggregates[name] == value, name
 
 
-@pytest.mark.parametrize("X", [20000, 20001])
+@pytest.mark.parametrize("X", [19405, 20000, 20001])
 def test_chebyshev_matches_generator_fold(prime_table, X):
     _assert_chebyshev_matches_generator(X, prime_table)
 
 
-@pytest.mark.parametrize("X", [2, 3, 5, 7, 21, 300])
+@pytest.mark.parametrize("X", [2, 3, 5, 7, 13, 21, 85, 300])
 def test_chebyshev_matches_generator_fold_small(prime_table, monkeypatch, X):
     # Below X ~ 700 no modulus lies under X^flat, so H1_model is 0 and the
     # report divides by it.  A level of 2 puts ell = 2 in H1 and lets the
@@ -606,6 +608,20 @@ def test_chebyshev_matches_generator_fold_small(prime_table, monkeypatch, X):
     # X // 3 (5^2 | 7^2 + 1, 17^2 | 38^2 + 1).
     monkeypatch.setattr(experiments, "x_flat", lambda X: 2.0)
     _assert_chebyshev_matches_generator(X, prime_table, flat=2.0)
+
+
+@pytest.mark.parametrize("consumer", [
+    lambda X, t: quadratic_window_stats(X, t),
+    lambda X, t: chebyshev_decomposition(X, 0.847, SHARP, t)],
+    ids=["stats", "chebyshev"])
+def test_leftover_check_guards_both_window_consumers(monkeypatch, consumer):
+    # With the primes above sqrt(2X) left unstruck, composite and small
+    # leftovers remain.  Chebyshev's dual identity cannot see them: it
+    # would fold them into H3 at roundoff.
+    monkeypatch.setattr(experiments, "strike_large_primes",
+                        lambda *args: None)
+    with pytest.raises(ArithmeticError, match="leftover cofactor"):
+        consumer(20001, sieve_primes(2 * 20001))
 
 
 def test_chebyshev_window_of_one_raises(prime_table):
