@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import experiments, theorems
 from .experiments import SmoothWeight
-from .primes import sieve_primes
+from .primes import MAX_SIEVE_LIMIT, sieve_primes
 from .reports import ExperimentReport, markdown_summary, to_json
 from .sieve_functions import (buchstab_w, build_buchstab_table,
                               build_sieve_tables, eval_F, eval_f,
@@ -198,11 +198,13 @@ def _run_experiment(args: argparse.Namespace):
         return report, ok
 
     X = args.X
-    if X > experiments.X_FACTOR_CAP and name in (
-            "bv", "wolke", "chebyshev", "bt", "square-sieve", "weighted",
-            "almost-prime", "gpf", "dartyge"):
-        # the experiment would refuse this X, so refuse it before the table
-        experiments._check_window(X, experiments.X_FACTOR_CAP)
+    cap = experiments.X_FACTOR_CAP if name in (
+        "bv", "wolke", "chebyshev", "bt", "square-sieve", "weighted",
+        "almost-prime", "gpf", "dartyge") else MAX_SIEVE_LIMIT // 2
+    if X > cap:
+        # the experiment or its table to 2X would refuse this X, so refuse
+        # it by name before the table is sieved
+        experiments._check_window(X, cap)
     table = sieve_primes(max(2 * X, 10 ** 5))
     if name == "q-ell":
         value = experiments.Q_ell(X, args.ell, w, table)

@@ -33,10 +33,10 @@ from typing import Iterator
 import numpy as np
 
 from .numerics import integrate_checked
-from .primes import (PrimeTable, _check_memory, _local_root_count, is_prime,
-                     jacobi_table, multiplicative_suite, rho, roots_mod,
-                     sieve_primes, sqrt_minus_one_batch, sqrt_minus_one_lifts,
-                     x_flat)
+from .primes import (MAX_ROOTS_MODULUS, PrimeTable, _check_memory,
+                     _local_root_count, is_prime, jacobi_table,
+                     multiplicative_suite, rho, roots_mod, sieve_primes,
+                     sqrt_minus_one_batch, sqrt_minus_one_lifts, x_flat)
 from .reports import ExperimentReport
 from .theorems import WeightedSieveParams, gamma_theta
 
@@ -159,7 +159,7 @@ def _Q_on_progressions(X: int, roots, ell: int, w: SmoothWeight,
 def Q_ell(X: int, ell: int, w: SmoothWeight, table: PrimeTable) -> float:
     """Weighted count of primes p in (X, 2X] with p^2 + 1 = 0 (mod ell)."""
     _check_window(X, min(X_OVERFLOW_CAP, table.limit // 2))
-    return _Q_on_progressions(X, roots_mod(ell, table).roots, ell, w, table)
+    return _Q_on_progressions(X, _ell_roots(ell, table), ell, w, table)
 
 
 def Q_ell_brute(X: int, ell: int, w: SmoothWeight, table: PrimeTable) -> float:
@@ -168,6 +168,13 @@ def Q_ell_brute(X: int, ell: int, w: SmoothWeight, table: PrimeTable) -> float:
     qualifying = [int(p) for p in table.primes_between(X, 2 * X)
                   if (p * p + 1) % ell == 0]
     return _weighted_sum(w, np.asarray(qualifying, dtype=np.int64), X)
+
+
+def _ell_roots(ell: int, table: PrimeTable) -> tuple[int, ...]:
+    """Roots of a^2 + 1 = 0 (mod ell), refusing an ell out of range by name."""
+    if not 1 <= ell <= MAX_ROOTS_MODULUS:
+        raise ValueError(f"ell must be in [1, {MAX_ROOTS_MODULUS}], got {ell}")
+    return roots_mod(ell, table).roots
 
 
 def _progressions(X: int, residues, modulus: int) -> np.ndarray:
@@ -186,7 +193,7 @@ def Q_ell_u(X: int, ell: int, u: float, w: SmoothWeight,
     _check_window(X, min(X_OVERFLOW_CAP, table.limit // 2))
     if not 1.0 <= u < math.inf:  # NaN fails too
         raise ValueError(f"u must be >= 1, got {u}")
-    n = _progressions(X, roots_mod(ell, table).roots, ell)
+    n = _progressions(X, _ell_roots(ell, table), ell)
     spf = table.smallest_prime_factor[n].astype(np.float64)
     keep = spf > np.power(n.astype(np.float64), 1.0 / u)
     return _weighted_sum(w, n[keep], X)
@@ -230,7 +237,7 @@ def A_d_count(X: int, ell: int, d: int, w: SmoothWeight,
     _check_window(X)
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    roots = roots_mod(ell, table).roots
+    roots = _ell_roots(ell, table)
     if math.gcd(d, ell) > 1:
         return 0.0
     n0 = [a * pow(d, -1, ell) % ell * d for a in roots]
@@ -253,6 +260,8 @@ def _error_average(vals: np.ndarray, n: np.ndarray, D: int, k: int,
     main_term(d, sums, residues) gives the main term from the class sums of
     vals over n mod d and the residues coprime to d.
     """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     taus = [multiplicative_suite(d, table)["tau"] for d in range(1, D + 1)]
     top = max(taus, default=1)
     if top > 1 and k >= 1024 / math.log2(top):  # top^k >= 2^1024
@@ -278,8 +287,6 @@ def bv_error_average(X: int, k: int, w: SmoothWeight,
     useless at 64-bit scale.
     """
     _check_window(X, min(X_FACTOR_CAP, table.limit // 2))
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
     D = int(x_flat(X))
     p = table.primes_between(X, 2 * X)
     vals = w.values(p.astype(np.float64) / X)
@@ -306,8 +313,6 @@ def wolke_error_average(X: int, z: float, k: int, w: SmoothWeight,
     _check_window(X, min(X_FACTOR_CAP, table.limit // 2))
     if not 2 <= z < math.inf:
         raise ValueError(f"z must be >= 2, got {z}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
     D = int(x_flat(X))
     n = np.arange(X + 1, 2 * X + 1, dtype=np.int64)
     n = n[table.smallest_prime_factor[n] > z]
@@ -593,7 +598,7 @@ def chebyshev_decomposition(X: int, vartheta: float, w: SmoothWeight,
     # ...and g(p/X) on primes alone, for the H1..H4 split.
     g_p = np.zeros(X, dtype=np.float64)
     p_win = table.primes_between(X, 2 * X)
-    idx_p = (p_win - lo).astype(np.int64)
+    idx_p = p_win - lo
     g_vals = w.values(p_win.astype(np.float64) / X)
     lam_w[idx_p] = np.log(p_win.astype(np.float64)) * g_vals
     g_p[idx_p] = g_vals
@@ -923,10 +928,6 @@ def weighted_sieve_experiment(X: int, params: WeightedSieveParams,
     eta = params.eta
     log_y = math.log(y)
 
-    notes = []
-    if z <= 3.0:
-        notes.append(f"configuration warning: z = {z:.3f} <= 3 sifts nothing")
-
     # sifting pass: m z-rough means no odd prime factor below z
     rough = np.ones(X, dtype=bool)
     inner = np.zeros(X, dtype=np.float64)
@@ -998,14 +999,14 @@ def weighted_sieve_experiment(X: int, params: WeightedSieveParams,
                     "psi_identity": psi_identity, "eta": eta,
                     "z": z, "y": y, "sum_wq_SAq": sum_wq_SAq},
         residuals={"psi_identity_rel": identity_rel},
-        notes="; ".join(notes) if notes
+        notes=f"configuration warning: z = {z:.3f} <= 3 sifts nothing"
+        if z <= 3.0
         else "decomposition identity and weight bound checked exhaustively")
 
 
 def almost_prime_survey(X: int, r: int, table: PrimeTable,
                         w: SmoothWeight = SHARP) -> ExperimentReport:
     """Count window primes p with at most r prime factors in (p^2 + 1)/2."""
-    _check_window(X, min(X_FACTOR_CAP, table.limit // 2))
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     stats = quadratic_window_stats(X, table)
@@ -1028,7 +1029,6 @@ def almost_prime_survey(X: int, r: int, table: PrimeTable,
 
 def gpf_survey(X: int, vartheta: float, table: PrimeTable) -> ExperimentReport:
     """Fraction of window primes p whose p^2 + 1 has a factor above p^vartheta."""
-    _check_window(X, min(X_FACTOR_CAP, table.limit // 2))
     if not 0.0 < vartheta < 2.0:
         raise ValueError(f"vartheta must lie in (0, 2), got {vartheta}")
     stats = quadratic_window_stats(X, table)
@@ -1059,7 +1059,6 @@ def _u_rough(stats: QuadraticWindowStats, u: float) -> np.ndarray:
 
 def dartyge_survey(X: int, u: float, table: PrimeTable) -> ExperimentReport:
     """Distribution of log P+(n^2+1)/log n over n with spf(n) > n^(1/u)."""
-    _check_window(X, min(X_FACTOR_CAP, table.limit // 2))
     if not 1.0 < u < math.inf:
         raise ValueError(f"u must exceed 1, got {u}")
     stats = quadratic_window_stats(X, table)

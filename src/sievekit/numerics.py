@@ -54,16 +54,15 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
 
 
 def integrate_checked(f: Callable[[float], float], a: float, b: float,
-                      tol: float = DEFAULT_QUAD_TOL,
-                      check_tol: float = CROSSCHECK_QUAD_TOL) -> float:
-    """Integrate at tol, re-integrate at check_tol, fail on disagreement.
+                      tol: float = DEFAULT_QUAD_TOL) -> float:
+    """Integrate at tol and at CROSSCHECK_QUAD_TOL; fail on disagreement.
 
-    The two runs refine differently, so agreement within check_tol guards
-    against a silently unconverged panel.
+    The two runs refine differently, so agreement within CROSSCHECK_QUAD_TOL
+    guards against a silently unconverged panel.
     """
     tight = adaptive_simpson(f, a, b, tol)
-    loose = adaptive_simpson(f, a, b, check_tol)
-    if abs(tight - loose) > 10.0 * check_tol * max(1.0, abs(tight)):
+    loose = adaptive_simpson(f, a, b, CROSSCHECK_QUAD_TOL)
+    if abs(tight - loose) > 10.0 * CROSSCHECK_QUAD_TOL * max(1.0, abs(tight)):
         raise QuadratureError(
             f"quadrature self-check failed on [{a}, {b}]: "
             f"{tight!r} vs {loose!r}")
@@ -71,12 +70,11 @@ def integrate_checked(f: Callable[[float], float], a: float, b: float,
 
 
 def integrate_piecewise(f: Callable[[float], float],
-                        knots: Sequence[float],
-                        tol: float = DEFAULT_QUAD_TOL) -> float:
+                        knots: Sequence[float]) -> float:
     """Checked integral over consecutive [knots[i], knots[i+1]] panels."""
     total = 0.0
     for a, b in zip(knots[:-1], knots[1:]):
-        total += integrate_checked(f, a, b, tol)
+        total += integrate_checked(f, a, b)
     return total
 
 

@@ -199,19 +199,13 @@ def factorize(n: int, table: PrimeTable | None = None) -> Factorization:
     return Factorization(n=src, pairs=tuple(sorted(found.items())))
 
 
-def multiplicative_suite(n: int, table: PrimeTable | None = None) -> dict[str, float]:
-    """phi, mu, tau, von Mangoldt, Omega, and greatest prime factor of n."""
-    fac = factorize(n, table)
-    phi, mu, tau, omega_total = 1, 1, 1, 0
-    for p, e in fac.pairs:
+def multiplicative_suite(n: int, table: PrimeTable | None = None) -> dict[str, int]:
+    """Euler's phi and the divisor count tau of n."""
+    phi, tau = 1, 1
+    for p, e in factorize(n, table).pairs:
         phi *= (p - 1) * p ** (e - 1)
-        mu = 0 if e > 1 else -mu
         tau *= e + 1
-        omega_total += e
-    lam = math.log(fac.pairs[0][0]) if len(fac.pairs) == 1 else 0.0
-    p_plus = fac.pairs[-1][0] if fac.pairs else 1
-    return {"phi": phi, "mu": mu, "tau": tau, "lambda_vM": lam,
-            "Omega": omega_total, "P_plus": p_plus}
+    return {"phi": phi, "tau": tau}
 
 
 def jacobi(a: int, n: int) -> int:
@@ -368,10 +362,7 @@ def _crt(a: int, m: int, b: int, n: int) -> int:
 
 def rho(d: int, table: PrimeTable | None = None) -> int:
     """Number of solutions of a^2 + 1 = 0 (mod d); multiplicative in d."""
-    if not 1 <= d <= MAX_ROOTS_MODULUS:
-        raise ValueError(f"modulus must be in [1, {MAX_ROOTS_MODULUS}], got {d}")
-    return math.prod(_local_root_count(p, e)
-                     for p, e in factorize(d, table).pairs)
+    return len(roots_mod(d, table).roots)
 
 
 def x_flat(X: float) -> float:

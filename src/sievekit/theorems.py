@@ -358,7 +358,7 @@ def dartyge_margin(u: float, theta0: float, ftable: SieveFunctionTable,
                 cross.add(t)
     knots = sorted(set(bps) | cross)
     I1 = integrate_piecewise(lambda t: eval_F(u * _gamma_value(t), ftable),
-                             knots, tol=1e-9)
+                             knots)
 
     # Part 2: F(u(1-theta)) with the argument below 3, so the antiderivative
     # is explicit; quadrature must reproduce it.

@@ -350,20 +350,28 @@ def test_empirical_overflow_guard(capsys):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("experiment", [
+# the window-factoring experiments refuse X above X_FACTOR_CAP; for the
+# others the prime table to 2X refuses X above MAX_SIEVE_LIMIT / 2
+WINDOW_CAPS = [(name, experiments.X_FACTOR_CAP) for name in (
     "bv", "wolke", "chebyshev", "bt", "square-sieve", "weighted",
-    "almost-prime", "gpf", "dartyge"])
+    "almost-prime", "gpf", "dartyge")] + [
+    (name, primes.MAX_SIEVE_LIMIT // 2) for name in (
+        "q-ell", "q-ell-u", "phi", "phi-coprime", "a-d")]
+
+
+@pytest.mark.parametrize("experiment,cap", WINDOW_CAPS,
+                         ids=[name for name, _ in WINDOW_CAPS])
 def test_window_over_factor_cap_exits_1_before_the_prime_table(
-        capsys, monkeypatch, experiment):
-    # the experiment refuses this X, so the table to 2X (about 4 GB at
-    # X = 4e8) must not be sieved first
+        capsys, monkeypatch, experiment, cap):
+    # X is refused by name, so the table to 2X (about 4 GB at X = 4e8)
+    # must not be sieved first
     def refuse(limit):
         raise AssertionError(f"sieved to {limit} before refusing X")
     monkeypatch.setattr(cli, "sieve_primes", refuse)
-    X = experiments.X_FACTOR_CAP + 1
+    X = cap + 1
     code, out, err = run_cli(capsys, "empirical", experiment, "--X", str(X))
     assert code == 1 and out == ""
-    assert err == f"error: X must be in [1, {X - 1}], got {X}\n"
+    assert err == f"error: X must be in [1, {cap}], got {X}\n"
 
 
 # -------------------------------------------------------- config precedence
@@ -448,6 +456,19 @@ def test_config_value_exits_as_its_flag_does(capsys, tmp_path, key, value,
     ("empirical wolke --X 1000 --z nan", "z must"),
     ("empirical wolke --X 100000 --k 10007", "k = 10007"),
     ("empirical bv --X 100000 --k 10007", "k = 10007"),
+    ("empirical bv --k -1", "k must be >= 0, got -1"),
+    ("empirical wolke --k -1", "k must be >= 0, got -1"),
+    ("empirical q-ell --X 300 --ell 0",
+     "ell must be in [1, 1000000000000], got 0"),
+    ("empirical q-ell-u --X 300 --ell 0",
+     "ell must be in [1, 1000000000000], got 0"),
+    ("empirical a-d --X 300 --ell 0",
+     "ell must be in [1, 1000000000000], got 0"),
+    ("empirical weil --p 5 --q 5", "p and q must be distinct"),
+    ("empirical weil --p 331 --q 337", "pq must be <= 1e5, got 111547"),
+    ("empirical square-sieve --X 100 --L 200", "got L=200"),
+    ("empirical chebyshev --X 1000 --vartheta 1.5", "vartheta must"),
+    ("plot-data c-beta --r 0", "r must be >= 1, got 0"),
 ])
 def test_out_of_range_input_exits_1_naming_it(capsys, argv, named):
     code, out, err = run_cli(capsys, *argv.split())
@@ -510,7 +531,7 @@ _BOUNDED_ARGV = st.one_of(
           _options(["--r"], ["--alpha"])))
 _RAW_PYTHON = re.compile("Traceback|has no attribute|unsupported operand|"
                          "invalid literal|could not convert|"
-                         "math domain error")
+                         "math domain error|modulus must be|limit must be")
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

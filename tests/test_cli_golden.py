@@ -17,7 +17,9 @@ several chunks), the Chebyshev decomposition at the smallest valid window
 X = 650, at X = 100003 under both smooth weights (one at vartheta = 0.6)
 and at X = 1000003 (plateau, vartheta = 0.6), where the batched pass
 reaches deeper levels, and at X = 501878 (the benchmark's window size), the
-weighted sieve at X = 100003 under both smooth weights,
+weighted sieve at X = 100003 under both smooth weights and at X = 20001
+with alpha = 0.2 (z > 5, so the prime 5 sifts), the sifted count phi at
+X = 2e4 on a residue class mod 3,
 the exhaustive Weil scan, literal Jacobi-symbol sums at
 pq near 1e5 (one with gcd(m, pq) > 1) and at pq = 15 with m = -1 and
 m = 10^30, and ``verify all``.
@@ -76,6 +78,10 @@ GOLDEN = [
      "b7c165dbb6b8f312719d092e55e7d57538f49aa3add6943e0a9c3d37bfe3ee1d"),
     ("empirical weighted --X 20000", 0,
      "d7cc9dd57415c49183d2f7036f82343797303ad32e52daf08a333412bdbdcf31"),
+    ("empirical weighted --X 20001 --alpha 0.2", 0,
+     "859575b6012b3cd087ed9eb08695b0002e67e14fa70946a05fc5d46665841657"),
+    ("empirical phi --X 20000 --z 10 --d 3 --a 1", 0,
+     "9c58392ef9a9fc40189299284d23e89bef31154e6c13f8b0a38dfc2929f166dd"),
     ("empirical bt --X 20000", 0,
      "35f3a1aedfaf2ffd058436878f604a81d69a35e71b2700315f18de2726554475"),
     ("empirical bt --X 20000 --theta 0.9 --weight plateau", 0,

