@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -65,6 +66,12 @@ class CongruenceRootSet:
                 raise ValueError(f"{a}^2+1 not divisible by {self.modulus}")
 
 
+try:  # glibc only; elsewhere freed heap pages stay with the process
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
+
+
 def _mem_available_bytes() -> int | None:
     """MemAvailable from /proc/meminfo, or None where it cannot be read."""
     try:
@@ -78,8 +85,19 @@ def _mem_available_bytes() -> int | None:
 
 
 def _check_memory(need: int, what: str, error=ValueError) -> None:
-    """Raise error when what needs more than MemAvailable; a no-op where
-    /proc/meminfo cannot be read."""
+    """Raise error when what needs more than MemAvailable; the check is
+    skipped where /proc/meminfo cannot be read.
+
+    Every prime table and window is allocated right after this check, so it
+    first hands the C heap's free pages back to the system.  MemAvailable
+    then counts them, and the new arrays fault in fresh pages instead of
+    landing, or not, in holes an earlier window left resident.  Without the
+    trim (glibc 2.36), one process surveying X = 5e5 and then 1e6 peaked
+    at 66 to 74 MB depending on where its heap blocks happened to lie,
+    down to the length of the checkout's path; with it, at 66 to 67 MB.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
     available = _mem_available_bytes()
     if available is not None and need > available:
         raise error(f"{what} needs about {need / 2 ** 20:.0f} MiB, more than "

@@ -1,6 +1,7 @@
 """Prime tables, factorization, and the a^2 + 1 congruence machinery."""
 
 import math
+import platform
 import tracemalloc
 
 import numpy as np
@@ -378,6 +379,20 @@ def test_sieve_byte_constant_bounds_the_measured_peak():
 def test_sieve_skips_the_memory_check_when_unreadable(monkeypatch):
     monkeypatch.setattr(primes, "_mem_available_bytes", lambda: None)
     assert len(sieve_primes(100).primes) == 25
+
+
+def test_memory_check_trims_the_heap_before_reading_memavailable(
+        monkeypatch):
+    # trimmed first, so MemAvailable counts the pages handed back
+    if platform.libc_ver()[0] == "glibc":
+        assert primes._malloc_trim is not None
+    calls = []
+    monkeypatch.setattr(primes, "_malloc_trim",
+                        lambda pad: calls.append(("trim", pad)))
+    monkeypatch.setattr(primes, "_mem_available_bytes",
+                        lambda: calls.append("read"))
+    sieve_primes(100)
+    assert calls == [("trim", 0), "read"]
 
 
 def _masked_fill_sieve(limit):
