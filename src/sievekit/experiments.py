@@ -17,8 +17,8 @@ the window indices of the one or two progressions struck, and the same
 progressions as basic slices.  The engine and the consumers use those
 strided views alone; idx is yielded only for the oracle tests and the
 benchmark tracer's hit count.  Primes above ell_0 go through
-strike_large_primes, which finds their roots in one vectorized call per
-block of ROOT_BLOCK primes and scatters the hits in chunks with unbuffered
+strike_large_primes, which reads their roots from the prime table's
+root_of_minus_one column and scatters the hits in chunks with unbuffered
 ufunc.at updates.  Above ell_0 every ell^k with k >= 2 exceeds 2X, so it
 hits at most 2 n.  The generator alone also serves the weighted sieve's own
 pass below X^beta, through the same strided views, and the oracle tests.
@@ -36,7 +36,7 @@ from .numerics import integrate_checked
 from .primes import (MAX_ROOTS_MODULUS, PrimeTable, _check_memory,
                      _local_root_count, is_prime, jacobi_table,
                      multiplicative_suite, rho, roots_mod, sieve_primes,
-                     sqrt_minus_one_batch, sqrt_minus_one_lifts, x_flat)
+                     sqrt_minus_one_lifts, x_flat)
 from .reports import ExperimentReport
 from .theorems import WeightedSieveParams, gamma_theta
 
@@ -55,16 +55,18 @@ def _check_window(X: int, cap: int = X_OVERFLOW_CAP) -> None:
 
 
 # Peaks per n beyond the prime table, by tracemalloc at X = 5e5, 1e6, 3e6
-# with the window memo cleared first.  quadratic_window_stats: 22.0 B, at
-# the ell = 5 level: rem and p_plus (16 B), omega and big_omega (2 B), and
-# that level's one int64 buffer of both progressions (3.2 B).
-# WINDOW_BYTES_PER_N also covers the surveys that build the window:
-# dartyge_survey peaks at 24.4 to 25.8 B, the most at 5e5.
-# chebyshev_decomposition: 31.9 to 32.3 B, in its cofactor step: lam_w, g_p
-# and rem's buffer holding the logs (24 B), the tail mask and one gather at
-# it.  weighted_sieve_experiment: 29.7 to 30.0 B under the sharp weight and
-# up to 32.9 B under plateau, while g_vals is filled beside the memo, inner
-# and the masks.
+# on a fresh table to 2X, so each includes that table's root_of_minus_one
+# column (4 B per prime, 0.6 B per n), built when the window is admitted.
+# quadratic_window_stats: 22.6 B, at the ell = 5 level: rem and p_plus
+# (16 B), omega and big_omega (2 B), and that level's one int64 buffer of
+# both progressions (3.2 B).  WINDOW_BYTES_PER_N also covers the surveys
+# that build the window: dartyge_survey's own arrays peak at about 20 B
+# beside the memo, so it peaks in that strike pass too.
+# chebyshev_decomposition: 29.6 to 31.8 B, the most at 5e5, where the
+# strike pass's chunk temporaries, a fixed size, weigh most per n beside
+# lam_w, g_p and rem (24 B).  weighted_sieve_experiment: 30.1 to 31.2 B
+# under every weight, while g_vals is filled beside the memo, inner and
+# the masks.
 WINDOW_BYTES_PER_N = 26
 _CHEBYSHEV_BYTES_PER_N = 33
 _WEIGHTED_BYTES_PER_N = 33
@@ -72,6 +74,16 @@ _WEIGHTED_BYTES_PER_N = 33
 
 class WindowMemoryError(ValueError):
     """Window whose arrays would not fit in the available memory."""
+
+
+def _admit_window(X: int, bytes_per_n: int, table: PrimeTable) -> None:
+    """Refuse a window of bytes_per_n per n beyond the available memory,
+    then build the table's root column, if it is not built yet: after the
+    check's heap trim and before the window's own arrays, so the column
+    does not sit among them."""
+    _check_memory(X * bytes_per_n, f"the window of X = {X}",
+                  WindowMemoryError)
+    table.root_of_minus_one  # built on first access, then cached
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +396,7 @@ def iter_quadratic_strikes(X: int, table: PrimeTable,
 
 
 STRIKE_CHUNK_HITS = 1 << 14   # bound on the hits scattered per chunk
-ROOT_BLOCK = 1 << 14          # primes per sqrt_minus_one_batch call
-LOG_CHUNK = 1 << 14           # cofactors per np.log call in the Chebyshev tail
+LOG_CHUNK = 1 << 14           # entries per chunk of a window-long temporary
 
 
 def strike_large_primes(X: int, table: PrimeTable, ell_min: int,
@@ -394,11 +405,10 @@ def strike_large_primes(X: int, table: PrimeTable, ell_min: int,
 
     rem[i] holds n^2 + 1 for n = X + 1 + i with the prime powers up to
     ell_min already divided out; each struck ell^k is divided out in place.
-    The primes ell = 1 (mod 4) are picked out once.  Their roots come from
-    one sqrt_minus_one_batch call per block of ROOT_BLOCK primes, made when
-    the chunks reach the block, so the transients stay small at any X.  The
+    The primes ell = 1 (mod 4) and their roots are picked out once, from
+    the table's root_of_minus_one column, so no root is derived here.  The
     primes go in ascending chunks of at most STRIKE_CHUNK_HITS level-1 hits
-    (a single prime may exceed it), none crossing a block.  For each chunk
+    (a single prime may exceed it).  For each chunk
     with a hit, visit(ells, levels) is called: levels[k - 1] = (slot, idx)
     lists the n hit by ell^k, as window indices idx with primes ells[slot].
     Level 1 is laid out as the generator yields it: ell-major, the smaller
@@ -414,20 +424,18 @@ def strike_large_primes(X: int, table: PrimeTable, ell_min: int,
                          f"got {ell_min}")
     lo = X + 1
     primes = table.primes_between(ell_min, 2 * X)
-    primes = primes[primes % 4 == 1]
+    at = int(np.searchsorted(table.primes, ell_min, side="right"))
+    column = table.root_of_minus_one[at:at + len(primes)]
+    one_mod_four = column > 0  # the column is 0 at 2 and at 3 (mod 4)
+    primes, column = primes[one_mod_four], column[one_mod_four]
     start = 0
     while start < len(primes):
-        if start % ROOT_BLOCK == 0:
-            block = start
-            block_roots = sqrt_minus_one_batch(
-                primes[block:block + ROOT_BLOCK])
         # each progression mod ell hits at most X // ell + 1 n, and a
-        # chunk's first prime has the most hits; no chunk leaves its block
+        # chunk's first prime has the most hits
         most = 2 * (X // int(primes[start]) + 1)
-        stop = min(start + max(1, STRIKE_CHUNK_HITS // most),
-                   block + ROOT_BLOCK)
+        stop = start + max(1, STRIKE_CHUNK_HITS // most)
         ells = primes[start:stop]
-        roots = block_roots[start - block:stop - block]
+        roots = column[start:stop].astype(np.int64)
         start = stop
         step = np.repeat(ells, 2)
         first = np.empty(len(step), dtype=np.int64)
@@ -517,8 +525,7 @@ def quadratic_window_stats(X: int, table: PrimeTable) -> QuadraticWindowStats:
     if X in memo:
         return memo[X]
     memo.clear()
-    _check_memory(X * WINDOW_BYTES_PER_N, f"the window of X = {X}",
-                  WindowMemoryError)
+    _admit_window(X, WINDOW_BYTES_PER_N, table)
     # Omega(n^2 + 1) <= log2(4 X_FACTOR_CAP^2 + 1) < 49 fits in int8
     omega = np.zeros(X, dtype=np.int8)
     big_omega = np.zeros(X, dtype=np.int8)
@@ -589,8 +596,7 @@ def chebyshev_decomposition(X: int, vartheta: float, w: SmoothWeight,
         raise ValueError(
             f"X = {X} has no prime power at or below X^flat = {flat:.6g}, "
             f"so the H1 main-term model is 0")
-    _check_memory(X * _CHEBYSHEV_BYTES_PER_N, f"the window of X = {X}",
-                  WindowMemoryError)
+    _admit_window(X, _CHEBYSHEV_BYTES_PER_N, table)
     lo = X + 1
 
     # Lambda(n) g(n/X) over the window (prime-power n only)...
@@ -678,18 +684,21 @@ def chebyshev_decomposition(X: int, vartheta: float, w: SmoothWeight,
         fold(ells[slot], k + 1, sums[0][struck], sums[1][struck])
 
     rem, tail = _strike_window(X, table, small, visit)
-    # log of each cofactor written over rem's own buffer, a chunk at a time
-    # (one np.log into the float view would copy all of rem first), then
-    # the products formed in place: the gathers at tail hold the same
-    # products, in the same order and number, so np.sum adds them alike
-    logs = rem.view(np.float64)
+    # the products with the log of each leftover cofactor, compacted to the
+    # front of lam_w and g_p a chunk at a time: each prefix holds the
+    # gather at tail of the products, in the same order and number, so
+    # np.sum adds it alike without a window-long copy
+    kept = 0
     for a in range(0, X, LOG_CHUNK):
-        chunk = rem[a:a + LOG_CHUNK].astype(np.float64)
-        logs[a:a + LOG_CHUNK] = np.log(chunk, out=chunk)
-    lam_w *= logs
-    g_p *= logs
-    H_dual += float(np.sum(lam_w[tail]))
-    H[2] += float(np.sum(g_p[tail]))  # tail primes exceed X^vartheta
+        logs = rem[a:a + LOG_CHUNK].astype(np.float64)
+        np.log(logs, out=logs)
+        at = np.flatnonzero(tail[a:a + LOG_CHUNK])
+        b = kept + len(at)
+        lam_w[kept:b] = lam_w[a:a + LOG_CHUNK][at] * logs[at]
+        g_p[kept:b] = g_p[a:a + LOG_CHUNK][at] * logs[at]
+        kept = b
+    H_dual += float(np.sum(lam_w[:kept]))
+    H[2] += float(np.sum(g_p[:kept]))  # tail primes exceed X^vartheta
 
     H1_model = w.mass * X * model_sum / math.log(X)
     rel = abs(H_direct - H_dual) / abs(H_direct)
@@ -920,8 +929,7 @@ def weighted_sieve_experiment(X: int, params: WeightedSieveParams,
     of the weight inequality on squarefree survivors.
     """
     _check_window(X, min(X_FACTOR_CAP, table.limit // 2))
-    _check_memory(X * _WEIGHTED_BYTES_PER_N, f"the window of X = {X}",
-                  WindowMemoryError)
+    _admit_window(X, _WEIGHTED_BYTES_PER_N, table)
     stats = quadratic_window_stats(X, table)
     z = X ** params.alpha
     y = X ** params.beta
@@ -951,11 +959,15 @@ def weighted_sieve_experiment(X: int, params: WeightedSieveParams,
     eligible = _odd_window_primes(stats)
     eligible &= rough
     del rough
-    # g(n/X) at the eligible n alone, 0 elsewhere; (X + 1 + i) / X is the
-    # float division n / X elementwise, as over the whole window
+    # g(n/X) at the eligible n alone, 0 elsewhere, LOG_CHUNK of them at a
+    # time, as the smooth weights' temporaries are several per value;
+    # (X + 1 + i) / X is the float division n / X elementwise, as over the
+    # whole window
     at = np.flatnonzero(eligible)
     g_vals = np.zeros(X, dtype=np.float64)
-    g_vals[at] = w.values((X + 1 + at).astype(np.float64) / X)
+    for c in range(0, len(at), LOG_CHUNK):
+        i = at[c:c + LOG_CHUNK]
+        g_vals[i] = w.values((X + 1 + i).astype(np.float64) / X)
     S_A = float(np.sum(g_vals))
     below_eta = inner < eta
     # g_vals * (1 - inner / eta) over inner's own buffer (x * y is y * x
@@ -1046,15 +1058,20 @@ def gpf_survey(X: int, vartheta: float, table: PrimeTable) -> ExperimentReport:
 
 
 def _u_rough(stats: QuadraticWindowStats, u: float) -> np.ndarray:
-    """Mask of the window n with spf(n) > n^(1/u), in one float64 temporary.
+    """Mask of the window n with spf(n) > n^(1/u), LOG_CHUNK n at a time.
 
     The in-place power takes the same path as n ** (1 / u), and the int32
     spf values compare exactly against the float64 limits.
     """
     X = stats.X
-    lim = np.arange(X + 1, 2 * X + 1, dtype=np.float64)
-    lim **= 1.0 / u
-    return stats.spf_n > lim
+    rough = np.empty(X, dtype=bool)
+    for a in range(0, X, LOG_CHUNK):
+        lim = np.arange(X + 1 + a, X + 1 + min(a + LOG_CHUNK, X),
+                        dtype=np.float64)
+        lim **= 1.0 / u
+        np.greater(stats.spf_n[a:a + LOG_CHUNK], lim,
+                   out=rough[a:a + LOG_CHUNK])
+    return rough
 
 
 def dartyge_survey(X: int, u: float, table: PrimeTable) -> ExperimentReport:
@@ -1064,19 +1081,31 @@ def dartyge_survey(X: int, u: float, table: PrimeTable) -> ExperimentReport:
     stats = quadratic_window_stats(X, table)
     qual = _u_rough(stats, u)
     n_q = X + 1 + np.flatnonzero(qual)
-    ratio = np.log(stats.p_plus_m[qual].astype(np.float64)) \
-        / np.log(n_q.astype(np.float64))
+    # log P+(n^2+1) / log n, each log taken in place in its float64 copy
+    ratio = stats.p_plus_m[qual].astype(np.float64)
+    np.log(ratio, out=ratio)
+    log_n = n_q.astype(np.float64)
+    np.log(log_n, out=log_n)
+    ratio /= log_n
+    del log_n
 
-    # Omega(n): divide out the smallest prime factor until every entry is 1
+    # Omega(m) = 1 + Omega(m / spf(m)) for every cofactor m = n / spf(n)
+    # <= X, filled in doubling blocks [lo, 2 lo) of at most LOG_CHUNK
+    # entries: m / spf(m) <= m / 2 lies in an earlier block, complete by
+    # then.  Omega < 25 below 2e7 fits in int8.
     spf_all = table.smallest_prime_factor
-    omega_n = np.zeros(len(n_q), dtype=np.int64)
-    rest = n_q.copy()
-    while True:
-        more = rest > 1
-        if not more.any():
-            break
-        omega_n += more
-        rest //= spf_all[rest]
+    omega_cofactor = np.zeros(X + 1, dtype=np.int8)
+    lo = 2
+    while lo <= X:
+        hi = min(2 * lo, lo + LOG_CHUNK, X + 1)
+        omega_cofactor[lo:hi] = \
+            omega_cofactor[np.arange(lo, hi) // spf_all[lo:hi]] + 1
+        lo = hi
+    # only n_q's length is read from here on, so its buffer takes the
+    # cofactors
+    np.floor_divide(n_q, spf_all[n_q], out=n_q)
+    omega_n = omega_cofactor[n_q] + 1
+    del omega_cofactor
 
     gt1 = ratio > 1.0
     few = omega_n <= 11

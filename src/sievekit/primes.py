@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -12,10 +13,11 @@ import numpy as np
 MAX_SIEVE_LIMIT = 10 ** 9
 MAX_ROOTS_MODULUS = 10 ** 12
 MAX_INT64_SQUARE_ROOT = math.isqrt(2 ** 63 - 1)  # p^2 < 2^63 up to here
-# Bound on the peak of sieve_primes per entry; the int32 spf table, one bool
-# mask and the int64 prime list measured 5.60 B at limit 2e6 and 5.51 B at
-# 2e7 (tracemalloc).
+# Bound on the peak of sieve_primes per entry; the int32 spf table, a bool
+# mask of the odd entries and the int64 prime list, twice while it is
+# formed, measured 5.19 B at limit 2e6 and 5.02 B at 2e7 (tracemalloc).
 SIEVE_BYTES_PER_ENTRY = 6
+ROOT_BLOCK = 1 << 14  # primes per sqrt_minus_one_batch call
 
 # Witness set is deterministic for every n < 3.3e24, far past the 2^63 input cap.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -23,13 +25,36 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """Primes up to limit plus a smallest-prime-factor array indexed 0..limit."""
+    """Primes up to limit plus a smallest-prime-factor array indexed 0..limit.
+
+    root_of_minus_one is a column beside primes, built on first use and
+    kept for the table's lifetime: the window strike passes read the roots
+    of -1 mod ell from it instead of re-deriving them for every window.
+    """
     limit: int
     primes: np.ndarray
     smallest_prime_factor: np.ndarray
     # experiments.quadratic_window_stats keeps its last window here
     _window: dict = field(default_factory=dict, init=False, compare=False,
                           repr=False)
+
+    @functools.cached_property
+    def root_of_minus_one(self) -> np.ndarray:
+        """Read-only int32 column: sqrt_minus_one(p) at each p = 1 (mod 4)
+        in primes and 0 at every other prime, 4 B per prime.
+
+        Built once, by one sqrt_minus_one_batch call per block of
+        ROOT_BLOCK primes = 1 (mod 4), so the batch's int64 transients stay
+        small at any limit.  A root is below p / 2 <= MAX_SIEVE_LIMIT / 2,
+        so int32 holds it.
+        """
+        column = np.zeros(len(self.primes), dtype=np.int32)
+        at = np.flatnonzero(self.primes % 4 == 1)
+        for a in range(0, len(at), ROOT_BLOCK):
+            block = at[a:a + ROOT_BLOCK]
+            column[block] = sqrt_minus_one_batch(self.primes[block])
+        column.flags.writeable = False
+        return column
 
     def primes_between(self, lo: int, hi: int) -> np.ndarray:
         """Primes p with lo < p <= hi, as a slice of the table."""
@@ -116,12 +141,19 @@ def sieve_primes(limit: int) -> PrimeTable:
         if small[p]:
             small[p * p::p] = bytes(len(range(p * p, root + 1, p)))
     spf = np.zeros(limit + 1, dtype=np.int32)
-    # descending, so the smallest prime factor of each entry writes last
-    for p in range(root, 1, -1):
+    spf[4::2] = 2
+    # odd multiples only, descending, so the smallest odd prime factor of
+    # each odd entry writes last
+    for p in range(root, 2, -1):
         if small[p]:
-            spf[p * p::p] = p
-    # the unmarked entries are 0, 1 and the primes
-    primes = np.flatnonzero(spf == 0)[2:].astype(np.int64, copy=False)
+            spf[p * p::2 * p] = p
+    # the unmarked odd entries above 1 are the odd primes
+    odd = np.flatnonzero(spf[3::2] == 0)
+    primes = np.empty(len(odd) + 1, dtype=np.int64)
+    primes[0] = 2
+    np.multiply(odd, 2, out=primes[1:])
+    primes[1:] += 3
+    del odd
     spf[primes] = primes
     spf[1] = 1
     return PrimeTable(limit=limit, primes=primes, smallest_prime_factor=spf)

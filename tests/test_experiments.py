@@ -228,16 +228,24 @@ def test_modulus_d_below_one_is_rejected(prime_table, count, d):
         count(d, prime_table)
 
 
+def _square_sieve_pairs(X, L):
+    """Oracle: the pairs (ell, n), ell in (L, 2L], n in (X, 2X], with
+    ell^2 | n^2 + 1, tested one by one."""
+    return sum((n * n + 1) % (ell * ell) == 0
+               for n in range(X + 1, 2 * X + 1)
+               for ell in range(L + 1, 2 * L + 1))
+
+
 def test_square_sieve_count(prime_table):
     assert square_sieve_count(10, 2, prime_table) == 0
     assert square_sieve_count(10, 4, prime_table) == 1
-    # brute at a larger window: any n with some ell^2 | n^2+1, ell in (L, 2L]
-    X, L = 400, 6
-    brute = 0
-    for n in range(X + 1, 2 * X + 1):
-        if any((n * n + 1) % (ell * ell) == 0 for ell in range(L + 1, 2 * L + 1)):
-            brute += 1
-    assert square_sieve_count(X, L, prime_table) == brute
+    # pairs, not n: two n in (3000, 6000] have both 13^2 and 17^2 dividing
+    assert square_sieve_count(3000, 9, prime_table) == 55
+    for X, L in [(1000, 3), (4000, 7), (3000, 9), (2500, 13), (3500, 15),
+                 (4000, 20), (4000, 100)]:
+        want = _square_sieve_pairs(X, L)
+        assert want > 0, (X, L)
+        assert square_sieve_count(X, L, prime_table) == want, (X, L)
 
 
 # -------------------------------------------------------- strikes and windows
@@ -391,33 +399,34 @@ def test_weighted_sieve_refuses_a_window_beyond_available_memory(
         weighted_sieve_experiment(X, params, SHARP, table)
 
 
-def test_window_byte_constants_bound_the_measured_peaks(prime_table):
+def test_window_byte_constants_bound_the_measured_peaks():
     # measured <= constant <= 1.25 measured, so a change that moves a peak
-    # must move the constant that guards it too; each run builds the window
-    # afresh, and the weighted sieve's constant covers every weight mode
+    # must move the constant that guards it too; each run gets a table of
+    # its own, so it builds the window and the table's root column afresh,
+    # as a window job does, and the weighted sieve's constant covers every
+    # weight mode
     X = 10 ** 6
     params = WeightedSieveParams(alpha=1.0 / 12.0, beta=0.622,
                                  delta=min(solve_delta(), 0.622), r=4)
     runs = [(experiments.WINDOW_BYTES_PER_N,
-             lambda: quadratic_window_stats(X, prime_table)),
+             lambda t: quadratic_window_stats(X, t)),
             (experiments.WINDOW_BYTES_PER_N,
-             lambda: dartyge_survey(X, 11.2, prime_table)),
+             lambda t: dartyge_survey(X, 11.2, t)),
             (experiments._CHEBYSHEV_BYTES_PER_N,
-             lambda: chebyshev_decomposition(X, 0.847, SHARP, prime_table)),
+             lambda t: chebyshev_decomposition(X, 0.847, SHARP, t)),
             (experiments._WEIGHTED_BYTES_PER_N,
-             lambda: weighted_sieve_experiment(X, params, SHARP,
-                                               prime_table)),
+             lambda t: weighted_sieve_experiment(X, params, SHARP, t)),
             (experiments._WEIGHTED_BYTES_PER_N,
-             lambda: weighted_sieve_experiment(X, params, PLATEAU,
-                                               prime_table))]
+             lambda t: weighted_sieve_experiment(X, params, PLATEAU, t))]
     for constant, run in runs:
-        prime_table._window.clear()
+        table = sieve_primes(2 * X)
         tracemalloc.start()
         try:
-            run()
+            run(table)
             peak = tracemalloc.get_traced_memory()[1] / X
         finally:
             tracemalloc.stop()
+        del table
         assert peak <= constant <= 1.25 * peak, (constant, peak)
 
 
@@ -835,28 +844,37 @@ def test_progression_slices_rebuild_every_yield(prime_table):
                       (True, 2, False)}
 
 
-@pytest.mark.parametrize("block", [experiments.ROOT_BLOCK, 1000])
-def test_strike_large_primes_roots_come_in_blocks(prime_table, monkeypatch,
-                                                  block):
-    monkeypatch.setattr(experiments, "ROOT_BLOCK", block)
+@pytest.mark.parametrize("block", [primes.ROOT_BLOCK, 1000])
+def test_root_column_is_built_once_per_table(monkeypatch, block):
+    monkeypatch.setattr(primes, "ROOT_BLOCK", block)
     calls = []
-    real = experiments.sqrt_minus_one_batch
+    real = primes.sqrt_minus_one_batch
 
-    def counted(primes):
-        calls.append(np.asarray(primes).copy())
-        return real(primes)
-    monkeypatch.setattr(experiments, "sqrt_minus_one_batch", counted)
-    X = SEVERAL_CHUNKS_X
-    ells = prime_table.primes_between(math.isqrt(2 * X), 2 * X)
-    count = int(np.sum(ells % 4 == 1))
-    prime_table._window.clear()
-    _assert_stats_match_generator(X, prime_table)
-    assert len(calls) == -(-count // block)
-    assert all(0 < len(c) <= block and np.all(c % 4 == 1) for c in calls)
-    assert np.array_equal(np.concatenate(calls), ells[ells % 4 == 1])
-    calls.clear()
-    _assert_chebyshev_matches_generator(X, prime_table)
-    assert len(calls) == -(-count // block)
+    def counted(p):
+        calls.append(np.asarray(p).copy())
+        return real(p)
+    monkeypatch.setattr(primes, "sqrt_minus_one_batch", counted)
+    # above 2^14 primes = 1 (mod 4), so both block sizes make several calls
+    table = sieve_primes(10 ** 6)
+    ells = table.primes[table.primes % 4 == 1]
+    X, small_X = SEVERAL_CHUNKS_X, 20001
+    _assert_stats_match_generator(X, table)
+    assert len(calls) == -(-len(ells) // block) > 1
+    assert all(0 < len(c) <= block for c in calls)
+    assert np.array_equal(np.concatenate(calls), ells)
+    # the column serves every later window of the table, whatever its X
+    _assert_chebyshev_matches_generator(X, table)
+    stats = quadratic_window_stats(small_X, table)
+    cheb = chebyshev_decomposition(small_X, 0.847, SHARP, table)
+    assert len(calls) == -(-len(ells) // block)
+    # and strikes it exactly as a table of its own, sized to 2X, does
+    fresh = sieve_primes(2 * small_X)
+    fresh_stats = quadratic_window_stats(small_X, fresh)
+    for name in ("spf_n", "is_prime_n", "omega_m", "big_omega_m",
+                 "p_plus_m"):
+        assert np.array_equal(getattr(stats, name),
+                              getattr(fresh_stats, name)), name
+    assert cheb == chebyshev_decomposition(small_X, 0.847, SHARP, fresh)
 
 
 def test_strike_large_primes_rejects_batching_two(prime_table):

@@ -227,6 +227,17 @@ def test_sqrt_minus_one_batch_matches_scalar(prime_table):
     assert np.array_equal(got, want)
 
 
+def test_root_column_holds_the_scalar_roots(prime_table):
+    column = prime_table.root_of_minus_one
+    assert column.dtype == np.int32 and not column.flags.writeable
+    assert len(column) == len(prime_table.primes)
+    one_mod_four = prime_table.primes % 4 == 1
+    assert column[one_mod_four].tolist() == [
+        sqrt_minus_one(p) for p in prime_table.primes[one_mod_four].tolist()]
+    assert not column[~one_mod_four].any()
+    assert prime_table.root_of_minus_one is column
+
+
 def test_sqrt_minus_one_batch_at_the_int64_bound():
     # the largest primes = 1 (mod 4) whose square fits in int64
     top = []
