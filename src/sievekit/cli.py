@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import math
 import sys
@@ -418,6 +419,10 @@ _DISPATCH = {"verify": _cmd_verify, "functions": _cmd_functions,
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        # The process's own command line: what the imports built lives until
+        # exit, so no collection, during the run or at shutdown, rescans it.
+        gc.freeze()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -97,21 +97,93 @@ except (AttributeError, OSError, TypeError):
     _malloc_trim = None
 
 
-def _mem_available_bytes() -> int | None:
-    """MemAvailable from /proc/meminfo, or None where it cannot be read."""
+# A limit at or above this reads as none: cgroup v1 reports "no limit" as
+# 2^63 rounded down to a page, and v2 as "max".
+_UNLIMITED = 2 ** 62
+# (controller in /proc/self/cgroup, mount, limit, usage, reclaimable cache)
+_CGROUP_FILES = (
+    ("", "/sys/fs/cgroup", "memory.max", "memory.current", "inactive_file"),
+    ("memory", "/sys/fs/cgroup/memory", "memory.limit_in_bytes",
+     "memory.usage_in_bytes", "total_inactive_file"),
+)
+# /proc/self/limits row -> the /proc/self/status field it limits
+_RLIMIT_ROWS = {"Max address space": "VmSize", "Max data size": "VmData"}
+
+
+def _read_text(path: str) -> str | None:
     try:
-        with open("/proc/meminfo", encoding="ascii") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
+        with open(path, encoding="ascii") as fh:
+            return fh.read()
     except (OSError, ValueError):
-        pass
-    return None
+        return None
+
+
+def _read_fields(path: str) -> dict[str, int]:
+    """The integer fields of a 'key value [kB]' file, in bytes for kB."""
+    fields = {}
+    for line in (_read_text(path) or "").splitlines():
+        parts = line.split()
+        if len(parts) >= 2 and parts[1].isdigit():
+            scale = 1024 if parts[2:] == ["kB"] else 1
+            fields[parts[0].rstrip(":")] = int(parts[1]) * scale
+    return fields
+
+
+def _read_int(path: str) -> int | None:
+    text = (_read_text(path) or "").strip()
+    return int(text) if text.isdigit() else None
+
+
+def _cgroup_headroom() -> Iterator[int]:
+    """Limit minus usage plus inactive file cache, for each memory cgroup
+    (v2, then v1) that sets a limit.  A cgroup namespace mounts the
+    process's own group at the root, so the root is tried after its path."""
+    paths = {}
+    for line in (_read_text("/proc/self/cgroup") or "").splitlines():
+        _, controllers, path = line.split(":", 2)
+        for name in controllers.split(","):
+            paths[name] = path.rstrip("/")
+    for controller, mount, limit_file, usage_file, cache in _CGROUP_FILES:
+        if controller not in paths:
+            continue
+        for group in (mount + paths[controller], mount):
+            limit = _read_int(f"{group}/{limit_file}")
+            usage = _read_int(f"{group}/{usage_file}")
+            if limit is not None and usage is not None:
+                if limit < _UNLIMITED:
+                    stat = _read_fields(f"{group}/memory.stat")
+                    yield limit - usage + stat.get(cache, 0)
+                break
+
+
+def _rlimit_headroom() -> Iterator[int]:
+    """Each finite RLIMIT_AS / RLIMIT_DATA soft limit, as /proc/self/limits
+    lists it, minus what the process already maps against it."""
+    status = _read_fields("/proc/self/status")
+    for line in (_read_text("/proc/self/limits") or "").splitlines():
+        name, _, rest = line.partition("  ")  # names are padded to 25
+        used = _RLIMIT_ROWS.get(name)
+        soft = (rest.split() or [""])[0]
+        if used in status and soft.isdigit() and int(soft) < _UNLIMITED:
+            yield int(soft) - status[used]
+
+
+def _mem_available_bytes() -> int | None:
+    """The least of MemAvailable, the rlimit headroom and the cgroup
+    headroom, skipping any that cannot be read or sets no limit; None where
+    none can be read.  The cgroup's inactive file cache counts as free, as
+    it does in MemAvailable, so a warm page cache refuses no small job."""
+    meminfo = _read_fields("/proc/meminfo")
+    found = [*_rlimit_headroom(), *_cgroup_headroom()]
+    if "MemAvailable" in meminfo:
+        found.append(meminfo["MemAvailable"])
+    return max(min(found), 0) if found else None
 
 
 def _check_memory(need: int, what: str, error=ValueError) -> None:
-    """Raise error when what needs more than MemAvailable; the check is
-    skipped where /proc/meminfo cannot be read.
+    """Raise error when what needs more than the process may still use:
+    the least of MemAvailable and its rlimit and cgroup headroom.  The
+    check is skipped where none of them can be read.
 
     Every prime table and window is allocated right after this check, so it
     first hands the C heap's free pages back to the system.  MemAvailable

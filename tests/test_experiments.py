@@ -1,6 +1,7 @@
 """Window experiments: congruence counts, identities, and exhaustive checks."""
 
 import dataclasses
+import functools
 import math
 import os
 import subprocess
@@ -593,6 +594,37 @@ def test_window_stats_match_generator_across_chunks(prime_table, monkeypatch):
     monkeypatch.setattr(experiments, "STRIKE_CHUNK_HITS", 64)
     _assert_stats_match_generator(20001, prime_table)
     assert passes[1][0] > 100
+
+
+# ---------------------------------------------- window stats against factorize
+
+# any X <= 4000, or one where isqrt(2X) is a prime = 1 (mod 4), the split's
+# boundary class (X = 13, 85)
+_ORACLE_X = st.one_of(
+    st.integers(1, 4000),
+    st.sampled_from([5, 13, 17, 29, 37, 41, 53, 61, 73, 89]).flatmap(
+        lambda p: st.integers((p * p + 1) // 2, min(p * (p + 2) // 2, 4000))))
+
+
+@functools.cache
+def _shape_of_n2_plus_1(n):
+    """(omega, Omega, P+) of n^2 + 1 by factorize, which takes no root of -1:
+    trial division and Pollard-Brent beyond the table."""
+    pairs = factorize(n * n + 1).pairs
+    return len(pairs), sum(e for _p, e in pairs), max(p for p, _e in pairs)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(X=_ORACLE_X, chunk=st.sampled_from([None, 1, 7, 64]))
+def test_window_stats_match_factorize_per_n(X, chunk):
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(experiments, "STRIKE_CHUNK_HITS", chunk)
+        stats = quadratic_window_stats(X, sieve_primes(2 * X))
+    want = np.array([_shape_of_n2_plus_1(n) for n in range(X + 1, 2 * X + 1)])
+    assert np.array_equal(stats.omega_m, want[:, 0])
+    assert np.array_equal(stats.big_omega_m, want[:, 1])
+    assert np.array_equal(stats.p_plus_m, want[:, 2])
 
 
 def _assert_chebyshev_matches_generator(X, table, w=SHARP, flat=None):

@@ -406,6 +406,75 @@ def test_memory_check_trims_the_heap_before_reading_memavailable(
     assert calls == [("trim", 0), "read"]
 
 
+MiB = 2 ** 20
+HOST_FILES = {  # the shape of a host that sets no limit
+    "/proc/meminfo": "MemTotal: 8000000 kB\nMemAvailable: 7000000 kB\n",
+    "/proc/self/status": "VmSize:\t  409600 kB\nVmData:\t  102400 kB\n",
+    "/proc/self/cgroup": "4:memory:/process_api/job\n0::/\n",
+    "/sys/fs/cgroup/memory/memory.limit_in_bytes": "9223372036854771712\n",
+    "/sys/fs/cgroup/memory/memory.usage_in_bytes": "104857600\n",
+    "/sys/fs/cgroup/memory/memory.stat": "total_inactive_file 0\n",
+}
+
+
+def _limits(address_space="unlimited", data="unlimited"):
+    rows = [("Limit", "Soft Limit", "Hard Limit", "Units"),
+            ("Max data size", data, "unlimited", "bytes"),
+            ("Max stack size", "8388608", "unlimited", "bytes"),
+            ("Max address space", address_space, "unlimited", "bytes")]
+    return "".join("%-25s %-20s %-20s %-10s\n" % row for row in rows)
+
+
+def test_unlimited_values_leave_memavailable(monkeypatch):
+    files = {**HOST_FILES, "/proc/self/limits": _limits(),
+             "/sys/fs/cgroup/memory.max": "max\n",
+             "/sys/fs/cgroup/memory.current": "104857600\n"}
+    monkeypatch.setattr(primes, "_read_text", files.get)
+    assert primes._mem_available_bytes() == 7000000 * 1024
+
+
+def test_memory_readers_give_none_when_nothing_is_readable(monkeypatch):
+    monkeypatch.setattr(primes, "_read_text", {}.get)
+    assert primes._mem_available_bytes() is None
+
+
+def test_rlimit_headroom_refuses_a_table_by_name(monkeypatch):
+    # 512 MiB of address space left under RLIMIT_AS; MemAvailable is ample
+    files = {**HOST_FILES, "/proc/meminfo": "MemAvailable: 67108864 kB\n",
+             "/proc/self/limits": _limits(address_space=str(912 * MiB))}
+    monkeypatch.setattr(primes, "_read_text", files.get)
+    assert primes._mem_available_bytes() == 512 * MiB
+    monkeypatch.setattr(primes, "np", None)
+    with pytest.raises(ValueError, match=r"^a prime table to 200000000 needs "
+                       r"about 1144 MiB, more than the 512 MiB available$"):
+        sieve_primes(2 * 10 ** 8)
+
+
+def test_rlimit_data_counts_against_vmdata(monkeypatch):
+    files = {**HOST_FILES, "/proc/self/limits": _limits(data=str(300 * MiB))}
+    monkeypatch.setattr(primes, "_read_text", files.get)
+    assert primes._mem_available_bytes() == 200 * MiB
+
+
+@pytest.mark.parametrize("files,headroom", [
+    ({"/proc/self/cgroup": "0::/job.scope\n",
+      "/sys/fs/cgroup/job.scope/memory.max": f"{1024 * MiB}\n",
+      "/sys/fs/cgroup/job.scope/memory.current": f"{900 * MiB}\n",
+      "/sys/fs/cgroup/job.scope/memory.stat":
+          f"anon {600 * MiB}\ninactive_file {300 * MiB}\n"}, 424 * MiB),
+    # a cgroup namespace mounts the process's own group at the root
+    ({"/sys/fs/cgroup/memory/memory.limit_in_bytes": f"{256 * MiB}\n",
+      "/sys/fs/cgroup/memory/memory.usage_in_bytes": f"{200 * MiB}\n",
+      "/sys/fs/cgroup/memory/memory.stat":
+          f"inactive_file {99 * MiB}\ntotal_inactive_file {20 * MiB}\n"},
+     76 * MiB),
+])
+def test_cgroup_headroom_counts_inactive_file_cache(monkeypatch, files,
+                                                    headroom):
+    monkeypatch.setattr(primes, "_read_text", {**HOST_FILES, **files}.get)
+    assert primes._mem_available_bytes() == headroom
+
+
 def _masked_fill_sieve(limit):
     """The earlier spf fill, kept as the oracle: each prime p up to
     sqrt(limit), ascending, marks only the still-empty entries of p*p::p."""

@@ -1,18 +1,28 @@
-"""Start-up: importing sievekit pins OpenBLAS to one thread before numpy.
+"""Start-up: importing sievekit pins OpenBLAS to one thread before numpy,
+and the command line freezes its import-time heap out of the cyclic GC.
 
 sievekit makes no BLAS call, so the pin only saves the thread pool numpy
 would start.  An explicit OPENBLAS_NUM_THREADS wins, and the output does not
-depend on it.
+depend on it.  Only main() called as the process's own command line (argv
+None) freezes; main(argv) leaves the caller's GC state alone.  The real
+entry keeps the 0/1/2 exit contract, also under a real memory limit.
 """
 
+import contextlib
+import gc
 import hashlib
+import io
+import json
 import os
+import re
+import resource
 import subprocess
 import sys
 
 import pytest
 
 import sievekit
+from sievekit.cli import main
 from test_cli_golden import GOLDEN
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(sievekit.__file__)))
@@ -28,6 +38,15 @@ class Probe:
 sys.meta_path.insert(0, Probe())
 import sievekit
 print(seen[0], os.environ["OPENBLAS_NUM_THREADS"])
+"""
+
+
+# Runs the CLI module as `-m` does and reports the freeze count at exit.
+FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count(),
+                              file=sys.stderr))
+runpy.run_module("sievekit.cli", run_name="__main__", alter_sys=True)
 """
 
 
@@ -63,3 +82,43 @@ def test_golden_output_with_two_blas_threads(command):
     proc = run(["-m", "sievekit.cli", *command.split()], "2")
     assert proc.returncode == code, proc.stderr
     assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command,code,stderr", [
+    ("verify thm3 --u 12.2", 1, "error: sigma2 containment fails"),
+    ("bogus", 2, "usage: sievekit"),
+])
+def test_real_entry_keeps_the_exit_contract(command, code, stderr):
+    proc = run(["-m", "sievekit.cli", *command.split()], None)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith(stderr), proc.stderr
+
+
+def test_command_line_freezes_its_import_time_heap():
+    proc = run(["-c", FREEZE_PROBE, "verify", "thm2"], None)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["passed"] is True
+    label, count = proc.stderr.split()
+    assert label == "frozen" and int(count) > 0, proc.stderr
+
+
+def test_main_with_argv_leaves_the_gc_state_alone():
+    before = gc.get_freeze_count()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "thm2"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_real_address_space_limit_refuses_up_front():
+    # under 2 GiB of address space the table to 10^9 (about 5.6 GiB) is
+    # refused by name before numpy allocates it, not by a MemoryError
+    limit = 2 ** 31
+    proc = subprocess.run(
+        [sys.executable, "-m", "sievekit.cli", "empirical", "phi", "--X",
+         "500000000"], env=fresh_env(None), capture_output=True, text=True,
+        timeout=120, preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 1, proc.stderr
+    assert re.fullmatch(r"error: a prime table to 1000000000 needs about "
+                        r"5722 MiB, more than the \d+ MiB available\n",
+                        proc.stderr), proc.stderr
