@@ -20,8 +20,9 @@ benchmark tracer's hit count.  Primes above ell_0 go through
 strike_large_primes, which reads their roots from the prime table's
 root_of_minus_one column and scatters the hits in chunks with unbuffered
 ufunc.at updates.  Above ell_0 every ell^k with k >= 2 exceeds 2X, so it
-hits at most 2 n.  The generator alone also serves the weighted sieve's own
-pass below X^beta, through the same strided views, and the oracle tests.
+hits at most 2 n.  Outside the engine only the oracle tests run the
+generator: the weighted sieve's own level-1 pass below X^beta builds the
+same strided views from the root column.
 """
 
 from __future__ import annotations
@@ -34,15 +35,17 @@ import numpy as np
 
 from .numerics import integrate_checked
 from .primes import (MAX_ROOTS_MODULUS, PrimeTable, _check_memory,
-                     _local_root_count, is_prime, jacobi_table,
-                     multiplicative_suite, rho, roots_mod, sieve_primes,
-                     sqrt_minus_one_lifts, x_flat)
+                     _local_root_count, _roots_of, factorize, is_prime,
+                     jacobi_table, multiplicative_suite, rho, roots_mod,
+                     sieve_primes, sqrt_minus_one_lifts, x_flat)
 from .reports import ExperimentReport
 from .theorems import WeightedSieveParams, gamma_theta
 
 X_OVERFLOW_CAP = 10 ** 9     # keeps n^2 + 1 inside int64 for n <= 2X
 X_FACTOR_CAP = 10 ** 7       # full window factorization experiments
-MAX_SQUARE_SIEVE_L = 5 * 10 ** 5  # (2L)^2 must stay a valid roots_mod modulus
+# bounds the square sieve's work: L moduli, each factored from the table,
+# took 1.2 s at this cap with X = 1e6
+MAX_SQUARE_SIEVE_L = 5 * 10 ** 5
 
 
 class OverflowGuardError(ValueError):
@@ -64,7 +67,7 @@ def _check_window(X: int, cap: int = X_OVERFLOW_CAP) -> None:
 # beside the memo, so it peaks in that strike pass too.
 # chebyshev_decomposition: 29.6 to 31.8 B, the most at 5e5, where the
 # strike pass's chunk temporaries, a fixed size, weigh most per n beside
-# lam_w, g_p and rem (24 B).  weighted_sieve_experiment: 30.1 to 31.2 B
+# lam_w, g_p and rem (24 B).  weighted_sieve_experiment: 29.1 to 30.2 B
 # under every weight, while g_vals is filled beside the memo, inner and
 # the masks.
 WINDOW_BYTES_PER_N = 26
@@ -362,8 +365,8 @@ def iter_quadratic_strikes(X: int, table: PrimeTable,
     op on idx.  Its callers use the slices alone and drop idx before the
     next level, so no two levels' index arrays are alive at once; idx is
     yielded only for the oracle tests and the benchmark tracer's hit count.
-    _strike_window runs this loop up to ell_0 = sqrt(2X) for both window
-    consumers; the weighted sieve's pass runs it alone.
+    _strike_window, its one caller in the library, runs this loop up to
+    ell_0 = sqrt(2X) for both window consumers.
     """
     _check_window(X)
     lo = X + 1
@@ -493,22 +496,15 @@ def _strike_window(X: int, table: PrimeTable, small, visit
 
 @dataclass(frozen=True)
 class QuadraticWindowStats:
-    """Per-n factor data for the window (X, 2X]: spf(n) and the shape of n^2+1.
+    """The shape of n^2 + 1 for each n in the window (X, 2X], at index n - X - 1.
 
-    n itself is derived, not stored: the property builds it afresh, and no
-    window consumer reads it.  spf_n is a read-only view of the prime
-    table's int32 smallest-prime-factor array, so the memo owns 11 B per n.
+    Facts about n itself, its primality and spf(n), are the prime table's
+    own; the consumers read them there.  The memo owns 10 B per n.
     """
     X: int
-    spf_n: np.ndarray        # int32 view of table.smallest_prime_factor
-    is_prime_n: np.ndarray
     omega_m: np.ndarray      # distinct prime factors of n^2 + 1 (int8)
     big_omega_m: np.ndarray  # prime factors of n^2 + 1 with multiplicity (int8)
     p_plus_m: np.ndarray     # greatest prime factor of n^2 + 1
-
-    @property
-    def n(self) -> np.ndarray:
-        return np.arange(self.X + 1, 2 * self.X + 1, dtype=np.int64)
 
 
 def quadratic_window_stats(X: int, table: PrimeTable) -> QuadraticWindowStats:
@@ -517,7 +513,7 @@ def quadratic_window_stats(X: int, table: PrimeTable) -> QuadraticWindowStats:
     The table memoizes one window: the same X again returns the same stats,
     and another X frees the old window before striking the new one.  The
     shared arrays are read-only.  A caller keeps the last window alive
-    (11 B per n, about 10.5 MiB at X = 1e6) until it asks for another X or
+    (10 B per n, about 9.5 MiB at X = 1e6) until it asks for another X or
     drops the table.
     """
     _check_window(X, min(X_FACTOR_CAP, table.limit // 2))
@@ -554,16 +550,10 @@ def quadratic_window_stats(X: int, table: PrimeTable) -> QuadraticWindowStats:
     omega += tail
     big_omega += tail
     np.copyto(p_plus, rem, where=tail)
-    del rem, tail  # dead from here; freed before is_prime_n is allocated
-    # n is the range X + 1..2X, so spf_n is a slice, shared with the table
-    spf_n = table.smallest_prime_factor[X + 1:2 * X + 1]
-    is_prime_n = np.zeros(X, dtype=bool)
-    is_prime_n[table.primes_between(X, 2 * X) - (X + 1)] = True
-    arrays = dict(spf_n=spf_n, is_prime_n=is_prime_n, omega_m=omega,
-                  big_omega_m=big_omega, p_plus_m=p_plus)
-    for a in arrays.values():
+    for a in (omega, big_omega, p_plus):
         a.flags.writeable = False
-    memo[X] = QuadraticWindowStats(X=X, **arrays)
+    memo[X] = QuadraticWindowStats(X=X, omega_m=omega, big_omega_m=big_omega,
+                                   p_plus_m=p_plus)
     return memo[X]
 
 
@@ -900,8 +890,10 @@ def square_sieve_count(X: int, L: int, table: PrimeTable) -> int:
             f"L must be <= {MAX_SQUARE_SIEVE_L} so ell^2 stays a valid modulus")
     total = 0
     for ell in range(L + 1, 2 * L + 1):
+        # ell <= 2X lies in the table, so ell^2 is factored without search
         q = ell * ell
-        for a in roots_mod(q, table).roots:
+        for a in _roots_of([(p, 2 * e)
+                            for p, e in factorize(ell, table).pairs]):
             total += (2 * X - a) // q - (X - a) // q
     return total
 
@@ -909,11 +901,10 @@ def square_sieve_count(X: int, L: int, table: PrimeTable) -> int:
 # ---------------------------------------------------------------------------
 # weighted sieve and the theorem surveys
 
-def _odd_window_primes(stats: QuadraticWindowStats) -> np.ndarray:
-    """Mask of the odd primes in the window; the even n sit at every other
-    index, starting at 0 when X + 1 is even."""
-    mask = stats.is_prime_n.copy()
-    mask[(stats.X + 1) % 2::2] = False
+def _odd_window_primes(X: int, table: PrimeTable) -> np.ndarray:
+    """Mask of the odd primes p in the window, at index p - X - 1."""
+    mask = np.zeros(X, dtype=bool)
+    mask[table.primes_between(max(X, 2), 2 * X) - (X + 1)] = True
     return mask
 
 
@@ -936,19 +927,25 @@ def weighted_sieve_experiment(X: int, params: WeightedSieveParams,
     eta = params.eta
     log_y = math.log(y)
 
-    # sifting pass: m z-rough means no odd prime factor below z
+    # sifting pass: m z-rough means no odd prime factor below z.  Each
+    # prime ell = 1 (mod 4) below y <= X divides n^2 + 1 on two progressions
+    # that start inside the window, struck smaller root first as the
+    # strike generator orders them; the roots are the table's column.
     rough = np.ones(X, dtype=bool)
     inner = np.zeros(X, dtype=np.float64)
     wq_slices: list[tuple[float, list[slice]]] = []  # (w_ell, its slices)
-    for ell, k, _q, idx, slices in iter_quadratic_strikes(X, table,
-                                                          ell_max=int(y) + 1):
-        del idx  # freed before the next level is built
-        if ell == 2 or k > 1:
+    below_y = int(np.searchsorted(table.primes, y))
+    lo = X + 1
+    for ell, r in zip(table.primes[:below_y].tolist(),
+                      table.root_of_minus_one[:below_y].tolist()):
+        if r == 0:  # ell = 2, which m drops, or ell = 3 (mod 4)
             continue
+        slices = [slice((r - lo) % ell, None, ell),
+                  slice((ell - r - lo) % ell, None, ell)]
         if ell < z:
             for s in slices:
                 rough[s] = False
-        elif ell < y:
+        else:
             # the progressions are disjoint: one addition per n, as in
             # np.add.at, in the same ell order
             w_ell = 1.0 - math.log(ell) / log_y
@@ -956,7 +953,7 @@ def weighted_sieve_experiment(X: int, params: WeightedSieveParams,
                 inner[s] += w_ell
             wq_slices.append((w_ell, slices))
 
-    eligible = _odd_window_primes(stats)
+    eligible = _odd_window_primes(X, table)
     eligible &= rough
     del rough
     # g(n/X) at the eligible n alone, 0 elsewhere, LOG_CHUNK of them at a
@@ -1024,7 +1021,7 @@ def almost_prime_survey(X: int, r: int, table: PrimeTable,
     stats = quadratic_window_stats(X, table)
     # at_most[j] counts the odd window primes p with Omega(p^2 + 1) <= j,
     # that is with at most j - 1 prime factors in (p^2 + 1)/2
-    big_omega = stats.big_omega_m[_odd_window_primes(stats)]
+    big_omega = stats.big_omega_m[_odd_window_primes(X, table)]
     at_most = np.cumsum(np.bincount(big_omega, minlength=8))
     counters = {"window_odd_primes": len(big_omega)}
     for j in range(1, 7):
@@ -1044,10 +1041,10 @@ def gpf_survey(X: int, vartheta: float, table: PrimeTable) -> ExperimentReport:
     if not 0.0 < vartheta < 2.0:
         raise ValueError(f"vartheta must lie in (0, 2), got {vartheta}")
     stats = quadratic_window_stats(X, table)
-    mask = stats.is_prime_n
-    p = (X + 1 + np.flatnonzero(mask)).astype(np.float64)
-    qualifies = stats.p_plus_m[mask].astype(np.float64) > p ** vartheta
-    primes_total = int(np.sum(mask))
+    p = table.primes_between(X, 2 * X)
+    qualifies = stats.p_plus_m[p - (X + 1)].astype(np.float64) \
+        > p.astype(np.float64) ** vartheta
+    primes_total = len(p)
     count = int(np.sum(qualifies))
     return ExperimentReport(
         name="gpf_survey",
@@ -1057,20 +1054,19 @@ def gpf_survey(X: int, vartheta: float, table: PrimeTable) -> ExperimentReport:
         notes="report-grade positivity proxy for the greatest-factor bound")
 
 
-def _u_rough(stats: QuadraticWindowStats, u: float) -> np.ndarray:
+def _u_rough(X: int, table: PrimeTable, u: float) -> np.ndarray:
     """Mask of the window n with spf(n) > n^(1/u), LOG_CHUNK n at a time.
 
     The in-place power takes the same path as n ** (1 / u), and the int32
     spf values compare exactly against the float64 limits.
     """
-    X = stats.X
     rough = np.empty(X, dtype=bool)
     for a in range(0, X, LOG_CHUNK):
-        lim = np.arange(X + 1 + a, X + 1 + min(a + LOG_CHUNK, X),
-                        dtype=np.float64)
+        b = min(a + LOG_CHUNK, X)
+        lim = np.arange(X + 1 + a, X + 1 + b, dtype=np.float64)
         lim **= 1.0 / u
-        np.greater(stats.spf_n[a:a + LOG_CHUNK], lim,
-                   out=rough[a:a + LOG_CHUNK])
+        np.greater(table.smallest_prime_factor[X + 1 + a:X + 1 + b], lim,
+                   out=rough[a:b])
     return rough
 
 
@@ -1079,7 +1075,7 @@ def dartyge_survey(X: int, u: float, table: PrimeTable) -> ExperimentReport:
     if not 1.0 < u < math.inf:
         raise ValueError(f"u must exceed 1, got {u}")
     stats = quadratic_window_stats(X, table)
-    qual = _u_rough(stats, u)
+    qual = _u_rough(X, table, u)
     n_q = X + 1 + np.flatnonzero(qual)
     # log P+(n^2+1) / log n, each log taken in place in its float64 copy
     ratio = stats.p_plus_m[qual].astype(np.float64)

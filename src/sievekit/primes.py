@@ -462,9 +462,15 @@ def roots_mod(d: int, table: PrimeTable | None = None) -> CongruenceRootSet:
     """All residues a (mod d) with a^2 + 1 = 0 (mod d)."""
     if not 1 <= d <= MAX_ROOTS_MODULUS:
         raise ValueError(f"modulus must be in [1, {MAX_ROOTS_MODULUS}], got {d}")
-    pairs = factorize(d, table).pairs
+    return CongruenceRootSet(modulus=d,
+                             roots=_roots_of(factorize(d, table).pairs))
+
+
+def _roots_of(pairs) -> tuple[int, ...]:
+    """Ascending roots of a^2 + 1 = 0 modulo the product of the p^e in
+    pairs, by CRT over the roots mod each p^e."""
     if not all(_local_root_count(p, e) for p, e in pairs):  # before any lift
-        return CongruenceRootSet(modulus=d, roots=())
+        return ()
     combined = [(1, 0)]
     for p, e in pairs:
         if p == 2:
@@ -474,7 +480,7 @@ def roots_mod(d: int, table: PrimeTable | None = None) -> CongruenceRootSet:
             local = [r, mod - r]
         combined = [(m * mod, _crt(a, m, b, mod))
                     for m, a in combined for b in local]
-    return CongruenceRootSet(modulus=d, roots=tuple(sorted(a for _, a in combined)))
+    return tuple(sorted(a for _, a in combined))
 
 
 def _crt(a: int, m: int, b: int, n: int) -> int:

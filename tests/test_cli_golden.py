@@ -19,7 +19,8 @@ and at X = 1000003 (plateau, vartheta = 0.6), where the batched pass
 reaches deeper levels, and at X = 501878 (the benchmark's window size), the
 weighted sieve at X = 100003 under both smooth weights and at X = 20001
 with alpha = 0.2 (z > 5, so the prime 5 sifts), the sifted count phi at
-X = 2e4 on a residue class mod 3,
+X = 2e4 on a residue class mod 3, the square sieve's pair counts at
+(X, L) = (2e4, 100) and (1e6, 2e4), both nonzero,
 the exhaustive Weil scan, literal Jacobi-symbol sums at
 pq near 1e5 (one with gcd(m, pq) > 1) and at pq = 15 with m = -1 and
 m = 10^30, and ``verify all``.
@@ -132,6 +133,10 @@ GOLDEN = [
      "649bc8439f12b28a8911b5ffaaa6fa3aa76088448d63b803b1f5295825fcb5af"),
     ("empirical weil --p 3 --q 5 --m 100000000000000000000000000000", 0,
      "1931a7cf8bec434f23b1ae11de99e130db17e822dcf0f9540dbb15c8ae66aa4a"),
+    ("empirical square-sieve --X 20000 --L 100", 0,
+     "ee3ad32053efd38cbe878527b6cf64c373dcf5c14a8a3b1a7e5ae7eed8408473"),
+    ("empirical square-sieve --X 1000000 --L 20000", 0,
+     "076c3943f5c47c40257e979d328118cf611ff0c28291a8652836f5b69c21079d"),
     ("verify all", 0,
      "2242d8e2072dde54193e80cef89542c1399ff954d7b0c0894e39e68f9bef96fb"),
 ]

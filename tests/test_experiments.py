@@ -1,5 +1,6 @@
 """Window experiments: congruence counts, identities, and exhaustive checks."""
 
+import ast
 import dataclasses
 import functools
 import math
@@ -249,6 +250,20 @@ def test_square_sieve_count(prime_table):
         assert square_sieve_count(X, L, prime_table) == want, (X, L)
 
 
+def test_square_sieve_factors_each_ell_from_the_table(monkeypatch):
+    # ell <= 2L <= 2X lies in the table, so no ell^2 needs a search: with
+    # the trial-division table cut to {2}, any factorization beyond the
+    # given table would reach the primality test or Pollard-Brent
+    def refuse(n):
+        raise AssertionError(f"searched for a factor of {n}")
+    monkeypatch.setattr(primes, "is_prime", refuse)
+    monkeypatch.setattr(primes, "_pollard_brent", refuse)
+    monkeypatch.setattr(primes, "_SMALL_TABLE", sieve_primes(2))
+    for X, L in [(1000, 3), (3000, 9), (4000, 100)]:
+        table = sieve_primes(2 * X)
+        assert square_sieve_count(X, L, table) == _square_sieve_pairs(X, L)
+
+
 # -------------------------------------------------------- strikes and windows
 
 def test_strikes_reconstruct_factorizations(prime_table):
@@ -269,15 +284,12 @@ def test_strikes_reconstruct_factorizations(prime_table):
 def test_window_stats_match_brute(prime_table):
     X = 500
     stats = quadratic_window_stats(X, prime_table)
-    assert list(stats.n[:3]) == [501, 502, 503]
-    for i, nv in enumerate(map(int, stats.n)):
+    assert len(stats.omega_m) == X
+    for i, nv in enumerate(range(X + 1, 2 * X + 1)):
         fac = factorize(nv * nv + 1)
         assert stats.omega_m[i] == len(fac.pairs)
         assert stats.big_omega_m[i] == sum(e for _, e in fac.pairs)
         assert stats.p_plus_m[i] == fac.pairs[-1][0]
-    spf = prime_table.smallest_prime_factor
-    assert np.array_equal(stats.spf_n, spf[stats.n])
-    assert np.array_equal(stats.is_prime_n, spf[stats.n] == stats.n)
 
 
 def test_window_stats_cached(prime_table):
@@ -321,32 +333,17 @@ def _memo_arrays(stats):
             if isinstance(getattr(stats, f.name), np.ndarray)}
 
 
-def test_window_memo_owns_at_most_11_bytes_per_n(prime_table):
+def test_window_memo_owns_at_most_10_bytes_per_n(prime_table):
+    # the memo holds the shape of n^2 + 1 alone: primality and spf(n) are
+    # read from the table, which the memo neither copies nor locks
     X = 20001
     stats = quadratic_window_stats(X, prime_table)
+    assert [f.name for f in dataclasses.fields(stats)] == [
+        "X", "omega_m", "big_omega_m", "p_plus_m"]
     arrays = _memo_arrays(stats)
-    assert sorted(arrays) == ["big_omega_m", "is_prime_n", "omega_m",
-                              "p_plus_m", "spf_n"]
-    owned = sum(a.nbytes for name, a in arrays.items() if name != "spf_n")
-    assert owned <= 11 * X
-    assert all(a.base is None for name, a in arrays.items()
-               if name != "spf_n")
-
-
-def test_window_spf_is_a_read_only_view_of_the_table(prime_table):
-    stats = quadratic_window_stats(800, prime_table)
-    spf = prime_table.smallest_prime_factor
-    assert np.shares_memory(stats.spf_n, spf)
-    assert stats.spf_n.dtype == spf.dtype == np.int32
-    assert all(not a.flags.writeable for a in _memo_arrays(stats).values())
-    assert spf.flags.writeable  # the view alone is locked
-
-
-def test_window_n_is_derived(prime_table):
-    stats = quadratic_window_stats(800, prime_table)
-    assert "n" not in _memo_arrays(stats)
-    assert stats.n.dtype == np.int64
-    assert np.array_equal(stats.n, np.arange(801, 1601))
+    assert sum(a.nbytes for a in arrays.values()) <= 10 * X
+    assert all(a.base is None for a in arrays.values())
+    assert prime_table.smallest_prime_factor.flags.writeable
 
 
 def test_int8_holds_omega_of_every_window_value():
@@ -356,19 +353,27 @@ def test_int8_holds_omega_of_every_window_value():
 
 
 def test_no_window_consumer_builds_the_full_n(prime_table, monkeypatch):
-    def refuse(self):
-        raise AssertionError("a consumer read QuadraticWindowStats.n")
-    monkeypatch.setattr(experiments.QuadraticWindowStats, "n",
-                        property(refuse))
+    # on a warm memo no consumer takes an arange as long as the window:
+    # each reads n's facts from the table and walks n in chunks
     X = 20001
+    assert X > experiments.LOG_CHUNK
     params = WeightedSieveParams(alpha=1.0 / 12.0, beta=0.622,
                                  delta=min(solve_delta(), 0.622), r=4)
+    quadratic_window_stats(X, prime_table)
+
+    def arange(*args, **kwargs):
+        out = np.arange(*args, **kwargs)
+        assert len(out) < X, "a consumer built the full n"
+        return out
+    monkeypatch.setattr(experiments, "np",
+                        types.SimpleNamespace(**{**vars(np),
+                                                 "arange": arange}))
     almost_prime_survey(X, 4, prime_table)
     gpf_survey(X, 0.847, prime_table)
     dartyge_survey(X, 11.2, prime_table)
     weighted_sieve_experiment(X, params, SHARP, prime_table)
-    with pytest.raises(AssertionError):
-        quadratic_window_stats(X, prime_table).n
+    with pytest.raises(AssertionError, match="full n"):
+        experiments.np.arange(X)
 
 
 def test_window_stats_refuse_a_window_beyond_available_memory(monkeypatch):
@@ -441,7 +446,8 @@ def test_window_memory_check_is_skipped_when_unreadable(monkeypatch):
 def test_almost_prime_levels_match_masks(prime_table, X):
     # the seven masks the one-pass bincount replaced
     stats = quadratic_window_stats(X, prime_table)
-    odd_prime = stats.is_prime_n & (stats.n % 2 == 1)
+    n = np.arange(X + 1, 2 * X + 1)
+    odd_prime = (prime_table.smallest_prime_factor[n] == n) & (n % 2 == 1)
     omega_half = stats.big_omega_m.astype(np.int64) - 1
     for r in (1, 4, 7, 1000):
         counters = almost_prime_survey(X, r, prime_table).counters
@@ -499,9 +505,7 @@ def _generator_window_stats(X, table):
     omega[tail] += 1
     big_omega[tail] += 1
     p_plus[tail] = rem[tail]
-    spf_n = table.smallest_prime_factor[n]
-    return {"n": n, "spf_n": spf_n, "is_prime_n": spf_n == n,
-            "omega_m": omega, "big_omega_m": big_omega, "p_plus_m": p_plus}
+    return {"omega_m": omega, "big_omega_m": big_omega, "p_plus_m": p_plus}
 
 
 def _generator_chebyshev(X, vartheta, w, table, flat):
@@ -607,24 +611,123 @@ _ORACLE_X = st.one_of(
 
 
 @functools.cache
+def _pairs_of_n2_plus_1(n):
+    """factorize(n^2 + 1).pairs, which takes no root of -1: trial division
+    and Pollard-Brent beyond the table."""
+    return factorize(n * n + 1).pairs
+
+
 def _shape_of_n2_plus_1(n):
-    """(omega, Omega, P+) of n^2 + 1 by factorize, which takes no root of -1:
-    trial division and Pollard-Brent beyond the table."""
-    pairs = factorize(n * n + 1).pairs
-    return len(pairs), sum(e for _p, e in pairs), max(p for p, _e in pairs)
+    """(omega, Omega, P+) of n^2 + 1."""
+    pairs = _pairs_of_n2_plus_1(n)
+    return len(pairs), sum(e for _p, e in pairs), pairs[-1][0]
+
+
+@functools.cache
+def _big_omega(n):
+    return sum(e for _p, e in factorize(n).pairs)
+
+
+def _window_with_chunk(chunk, run):
+    """run() with STRIKE_CHUNK_HITS set to chunk, unless chunk is None."""
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(experiments, "STRIKE_CHUNK_HITS", chunk)
+        return run()
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(X=_ORACLE_X, chunk=st.sampled_from([None, 1, 7, 64]))
 def test_window_stats_match_factorize_per_n(X, chunk):
-    with pytest.MonkeyPatch.context() as mp:
-        if chunk is not None:
-            mp.setattr(experiments, "STRIKE_CHUNK_HITS", chunk)
-        stats = quadratic_window_stats(X, sieve_primes(2 * X))
+    stats = _window_with_chunk(
+        chunk, lambda: quadratic_window_stats(X, sieve_primes(2 * X)))
     want = np.array([_shape_of_n2_plus_1(n) for n in range(X + 1, 2 * X + 1)])
     assert np.array_equal(stats.omega_m, want[:, 0])
     assert np.array_equal(stats.big_omega_m, want[:, 1])
     assert np.array_equal(stats.p_plus_m, want[:, 2])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(X=_ORACLE_X, chunk=st.sampled_from([None, 1, 7, 64]),
+       r=st.integers(1, 8), vartheta=st.sampled_from([0.5, 0.847, 1.2]),
+       u=st.sampled_from([2.0, 3.0, 5.5, 11.2, 20.0]))
+def test_surveys_match_factorize_per_n(X, chunk, r, vartheta, u):
+    # primality and spf(n) from the table, n^2 + 1 and n from factorize;
+    # the float thresholds and logs are taken over arrays, as numpy does
+    table = sieve_primes(2 * X)
+    almost, gpf, dartyge = _window_with_chunk(chunk, lambda: [
+        almost_prime_survey(X, r, table).counters,
+        gpf_survey(X, vartheta, table).counters,
+        dartyge_survey(X, u, table).counters])
+    spf = table.smallest_prime_factor
+    n = np.arange(X + 1, 2 * X + 1)
+    p = n[spf[n] == n]
+    # p^2 + 1 = 2 (mod 4) for odd p, so (p^2 + 1)/2 has one factor fewer
+    omega_half = [_shape_of_n2_plus_1(v)[1] - 1 for v in p.tolist() if v > 2]
+    want = {"window_odd_primes": len(omega_half)}
+    want.update({f"r={j}": sum(o <= j for o in omega_half)
+                 for j in range(1, 7)})
+    want["count"] = sum(o <= r for o in omega_half)
+    assert almost == want
+
+    p_plus = np.array([_shape_of_n2_plus_1(v)[2] for v in p.tolist()],
+                      dtype=np.float64)
+    assert gpf == {"window_primes": len(p), "qualifiers": int(np.sum(
+        p_plus > p.astype(np.float64) ** vartheta))}
+
+    q = n[spf[n] > n.astype(np.float64) ** (1.0 / u)]
+    ratio = np.log(np.array([_shape_of_n2_plus_1(v)[2] for v in q.tolist()],
+                            dtype=np.float64)) / np.log(q.astype(np.float64))
+    few = np.array([_big_omega(v) <= 11 for v in q.tolist()], dtype=bool)
+    hist, _ = np.histogram(ratio, bins=np.arange(0.0, 2.3001, 0.1))
+    want = {"qualifiers": len(q), "ratio_gt_1": int(np.sum(ratio > 1.0)),
+            "omega_n_le_11": int(np.sum(few)),
+            "ratio_gt_1_and_omega_le_11": int(np.sum((ratio > 1.0) & few))}
+    want.update({f"hist_{k / 10:.1f}": int(c) for k, c in enumerate(hist)})
+    assert dartyge == want
+
+
+_WEIGHTED_COUNTERS = ("survivors", "positive_weight", "omega_le_r",
+                      "squarefree_checked", "weight_bound_violations")
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(X=_ORACLE_X, chunk=st.sampled_from([None, 1, 7, 64]),
+       alpha=st.sampled_from([1.0 / 12.0, 0.2, 0.3, 0.4]),
+       beta=st.sampled_from([0.55, 0.622, 0.66]),
+       r=st.sampled_from([3, 4, 5]), w=st.sampled_from(MODES))
+def test_weighted_sieve_matches_factorize_per_n(X, chunk, alpha, beta, r, w):
+    # each odd window prime p is checked on m = (p^2 + 1)/2 from factorize
+    params = WeightedSieveParams(alpha=alpha, beta=beta,
+                                 delta=min(solve_delta(), beta), r=r)
+    table = sieve_primes(2 * X)
+    rep = _window_with_chunk(
+        chunk, lambda: weighted_sieve_experiment(X, params, w, table))
+    z, y, eta = X ** alpha, X ** beta, params.eta
+    log_y = math.log(y)
+    spf = table.smallest_prime_factor
+    p = [v for v in range(max(X, 2) + 1, 2 * X + 1) if spf[v] == v]
+    g = w.values(np.asarray(p, dtype=np.float64) / X)
+    want = dict.fromkeys(_WEIGHTED_COUNTERS, 0)
+    for p_i, g_i in zip(p, g):
+        pairs = _pairs_of_n2_plus_1(p_i)[1:]  # drop the single 2
+        if any(q < z for q, _ in pairs):
+            continue
+        want["survivors"] += 1
+        inner = 0.0
+        for q, _ in pairs:
+            if q < y:
+                inner += 1.0 - math.log(q) / log_y
+        if not (g_i > 0.0 and inner < eta):
+            continue
+        want["positive_weight"] += 1
+        omega_m = sum(e for _, e in pairs)
+        want["omega_le_r"] += omega_m <= r
+        if all(e == 1 for _, e in pairs):
+            want["squarefree_checked"] += 1
+            log_m = math.log(float(p_i) ** 2 + 1.0) - math.log(2.0)
+            want["weight_bound_violations"] += omega_m >= eta + log_m / log_y
+    assert {k: rep.counters[k] for k in _WEIGHTED_COUNTERS} == want
 
 
 def _assert_chebyshev_matches_generator(X, table, w=SHARP, flat=None):
@@ -746,6 +849,48 @@ def test_batched_chebyshev_terms_match_generator(prime_table, monkeypatch, X,
     assert len(folds) > 6 and len(folds) % 6 == 0
     assert [sum(folds[j::6], []) for j in range(6)] == want
     assert min(map(len, want)) > 0
+
+
+def test_strike_window_is_the_generators_one_caller(monkeypatch):
+    # Every window consumer reaches the generator through _strike_window
+    # alone, and a weighted sieve on a warm memo runs no strike pass.
+    src = os.path.dirname(os.path.abspath(experiments.__file__))
+    callers = set()
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            callers |= {f.name for f in ast.walk(tree)
+                        if isinstance(f, ast.FunctionDef)
+                        and f.name != "iter_quadratic_strikes"
+                        and "iter_quadratic_strikes" in {
+                            getattr(node, "id", getattr(node, "attr", None))
+                            for node in ast.walk(f)}}
+    assert callers == {"_strike_window"}
+
+    X = 20001
+    params = WeightedSieveParams(alpha=1.0 / 12.0, beta=0.622,
+                                 delta=min(solve_delta(), 0.622), r=4)
+    seen = []
+    real = experiments.iter_quadratic_strikes
+
+    def recorded(*args, **kwargs):
+        seen.append(sys._getframe(1).f_code.co_name)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(experiments, "iter_quadratic_strikes", recorded)
+    table = sieve_primes(2 * X)
+    quadratic_window_stats(X, table)
+    chebyshev_decomposition(X, 0.847, SHARP, table)
+    assert seen == ["_strike_window", "_strike_window"]
+    for run in (lambda: weighted_sieve_experiment(X, params, PLATEAU, table),
+                lambda: almost_prime_survey(X, 4, table),
+                lambda: gpf_survey(X, 0.847, table),
+                lambda: dartyge_survey(X, 11.2, table)):
+        run()  # the memo is warm: no pass at all
+    assert seen == ["_strike_window", "_strike_window"]
+    # a cold memo strikes once, through the engine
+    weighted_sieve_experiment(X, params, SHARP, sieve_primes(2 * X))
+    assert seen[2:] == ["_strike_window"]
 
 
 def _refuse(*_args):
@@ -902,8 +1047,7 @@ def test_root_column_is_built_once_per_table(monkeypatch, block):
     # and strikes it exactly as a table of its own, sized to 2X, does
     fresh = sieve_primes(2 * small_X)
     fresh_stats = quadratic_window_stats(small_X, fresh)
-    for name in ("spf_n", "is_prime_n", "omega_m", "big_omega_m",
-                 "p_plus_m"):
+    for name in ("omega_m", "big_omega_m", "p_plus_m"):
         assert np.array_equal(getattr(stats, name),
                               getattr(fresh_stats, name)), name
     assert cheb == chebyshev_decomposition(small_X, 0.847, SHARP, fresh)
@@ -1221,10 +1365,10 @@ def test_u_rough_mask_matches_float_expression(prime_table, u):
     # the one-temporary mask equals the three-temporary expression it
     # replaced, including u = 2, where the power becomes a square root
     for X in (2000, 10 ** 5):
-        stats = quadratic_window_stats(X, prime_table)
-        want = stats.spf_n.astype(np.float64) \
-            > stats.n.astype(np.float64) ** (1.0 / u)
-        assert np.array_equal(experiments._u_rough(stats, u), want)
+        n = np.arange(X + 1, 2 * X + 1)
+        want = prime_table.smallest_prime_factor[n].astype(np.float64) \
+            > n.astype(np.float64) ** (1.0 / u)
+        assert np.array_equal(experiments._u_rough(X, prime_table, u), want)
 
 
 # ----------------------------------------------------------------- weil sums
