@@ -887,7 +887,8 @@ def square_sieve_count(X: int, L: int, table: PrimeTable) -> int:
         raise OverflowGuardError(f"need 1 <= L <= X, got L={L}")
     if L > MAX_SQUARE_SIEVE_L:
         raise OverflowGuardError(
-            f"L must be <= {MAX_SQUARE_SIEVE_L} so ell^2 stays a valid modulus")
+            f"L must be <= {MAX_SQUARE_SIEVE_L}, got L={L}: the count factors "
+            f"each ell in (L, 2L], and the cap bounds that work")
     total = 0
     for ell in range(L + 1, 2 * L + 1):
         # ell <= 2X lies in the table, so ell^2 is factored without search

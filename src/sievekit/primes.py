@@ -17,7 +17,7 @@ MAX_INT64_SQUARE_ROOT = math.isqrt(2 ** 63 - 1)  # p^2 < 2^63 up to here
 # mask of the odd entries and the int64 prime list, twice while it is
 # formed, measured 5.19 B at limit 2e6 and 5.02 B at 2e7 (tracemalloc).
 SIEVE_BYTES_PER_ENTRY = 6
-ROOT_BLOCK = 1 << 14  # primes per sqrt_minus_one_batch call
+ROOT_BLOCK = 1 << 14  # primes per _pow_mod batch (root column, jacobi_table)
 
 # Witness set is deterministic for every n < 3.3e24, far past the 2^63 input cap.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -351,19 +351,33 @@ def jacobi(a: int, n: int) -> int:
 def jacobi_table(n: int) -> np.ndarray:
     """Jacobi symbols (a/n) for every a in [0, n), as an int8 array.
 
-    jacobi is called only at the primes p < n.  Every composite a takes
-    (spf(a)/n) (a'/n) with a' = a / spf(a), by complete multiplicativity in
-    the top argument, so n itself is never factored.  Composites are filled
-    in doubling blocks [2^k, 2^(k+1)): a' <= a/2 and spf(a) <= a/2 lie in
-    earlier blocks, which are complete by then.
+    The primes p < n are filled in batches, with no scalar call per prime:
+    (2/n) from n mod 8, and for odd p Euler's criterion gives
+    (n/p) = (n mod p)^((p-1)/2) mod p in {0, 1, p - 1}, which quadratic
+    reciprocity turns into (p/n): the sign flips when p = n = 3 (mod 4), and
+    a p dividing n gets 0.  Every composite a takes (spf(a)/n) (a'/n) with
+    a' = a / spf(a), by complete multiplicativity in the top argument, so n
+    itself is never factored.  Composites are filled in doubling blocks
+    [2^k, 2^(k+1)): a' <= a/2 and spf(a) <= a/2 lie in earlier blocks, which
+    are complete by then.
     """
     if n <= 0 or n % 2 == 0:
         raise ValueError(f"modulus must be odd positive, got {n}")
     tab = _SMALL_TABLE if n <= _SMALL_TABLE.limit else sieve_primes(n)
     chi = np.zeros(n, dtype=np.int8)
     chi[1 % n] = 1  # (1/n) = 1, and (0/n) = 0 except (0/1) = 1
-    for p in map(int, tab.primes[:np.searchsorted(tab.primes, n)]):
-        chi[p] = jacobi(p, n)
+    if n > 2:
+        chi[2] = 1 if n % 8 in (1, 7) else -1
+    # odd p < n <= MAX_SIEVE_LIMIT, so _pow_mod's int64 products fit;
+    # blocks of ROOT_BLOCK keep its transients small at any n
+    odd = tab.primes[1:np.searchsorted(tab.primes, n)]
+    for a in range(0, len(odd), ROOT_BLOCK):
+        p = odd[a:a + ROOT_BLOCK]
+        r = _pow_mod(n % p, (p - 1) // 2, p)
+        symbol = np.where(r > 1, -1, r)  # p - 1 > 1 stands for -1
+        if n % 4 == 3:
+            symbol[p % 4 == 3] *= -1
+        chi[p] = symbol
     lo = 4
     while lo < n:
         a = np.arange(lo, min(2 * lo, n))
@@ -396,9 +410,8 @@ def sqrt_minus_one_batch(primes: np.ndarray) -> np.ndarray:
     The scalar routine's c is the least non-residue of p, which is prime.
     Candidates c = 2, 3, 5, ... are scanned with reciprocity, which for
     p = 1 (mod 4) makes (c/p) = (p mod c / c) for odd c and (2/p) = -1
-    exactly when p = 5 (mod 8).  Then c^((p-1)/4) mod p is one vectorized
-    int64 square-and-multiply: residues stay below p, so every product stays
-    below p^2 < 2^63.  Each root is checked to satisfy r^2 = -1 (mod p).
+    exactly when p = 5 (mod 8).  Then c^((p-1)/4) mod p comes from
+    _pow_mod.  Each root is checked to satisfy r^2 = -1 (mod p).
     """
     p = np.asarray(primes, dtype=np.int64)
     if np.any(p % 4 != 1):
@@ -418,15 +431,26 @@ def sqrt_minus_one_batch(primes: np.ndarray) -> np.ndarray:
         c += 2
         while not is_prime(c):
             c += 2
-    e = (p - 1) // 4
-    r = np.ones(len(p), dtype=np.int64)
-    for _ in range(int(e.max(initial=0)).bit_length()):
-        r = np.where(e & 1, r * base % p, r)
-        base = base * base % p
-        e >>= 1
+    r = _pow_mod(base, (p - 1) // 4, p)
     if np.any((r * r + 1) % p != 0):
         raise ValueError("no square root of -1: input not prime")
     return np.minimum(r, p - r)
+
+
+def _pow_mod(base: np.ndarray, e: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """base^e mod m entrywise over int64 arrays, for 0 <= base < m, e >= 0
+    and 2 <= m <= MAX_INT64_SQUARE_ROOT.
+
+    One vectorized square-and-multiply: residues stay below m, so every
+    product stays below m^2 < 2^63.  e is shifted in place, which spares an
+    array per bit, so pass one the caller no longer needs.
+    """
+    r = np.ones(len(m), dtype=np.int64)
+    for _ in range(int(e.max(initial=0)).bit_length()):
+        r = np.where(e & 1, r * base % m, r)
+        base = base * base % m
+        e >>= 1
+    return r
 
 
 def sqrt_minus_one_lifts(p: int, max_modulus: int

@@ -467,6 +467,9 @@ def test_config_value_exits_as_its_flag_does(capsys, tmp_path, key, value,
     ("empirical weil --p 5 --q 5", "p and q must be distinct"),
     ("empirical weil --p 331 --q 337", "pq must be <= 1e5, got 111547"),
     ("empirical square-sieve --X 100 --L 200", "got L=200"),
+    ("empirical square-sieve --X 500001 --L 500001",
+     "L must be <= 500000, got L=500001: the count factors each ell in "
+     "(L, 2L], and the cap bounds that work"),
     ("empirical chebyshev --X 1000 --vartheta 1.5", "vartheta must"),
     ("plot-data c-beta --r 0", "r must be >= 1, got 0"),
 ])

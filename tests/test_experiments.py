@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from sievekit import experiments, primes
 from sievekit.experiments import (
+    MAX_SQUARE_SIEVE_L,
     SHARP,
     A_d_count,
     A_d_model,
@@ -262,6 +263,16 @@ def test_square_sieve_factors_each_ell_from_the_table(monkeypatch):
     for X, L in [(1000, 3), (3000, 9), (4000, 100)]:
         table = sieve_primes(2 * X)
         assert square_sieve_count(X, L, table) == _square_sieve_pairs(X, L)
+
+
+def test_square_sieve_refuses_l_above_the_work_cap():
+    # the refusal comes before any table read, so a tiny table will do
+    L = MAX_SQUARE_SIEVE_L + 1
+    with pytest.raises(OverflowGuardError) as err:
+        square_sieve_count(L, L, sieve_primes(2))
+    assert str(err.value) == (
+        f"L must be <= 500000, got L={L}: the count factors each ell in "
+        f"(L, 2L], and the cap bounds that work")
 
 
 # -------------------------------------------------------- strikes and windows
@@ -1172,6 +1183,46 @@ def test_bt_exception_branch_matches_isin_loop(prime_table, monkeypatch,
         rep = bt_exception_count(X, theta, w, prime_table)
         assert rep.counters["exceptions"] == exc, w.mode
     assert 0 < min(want) and max(want) < len(rows[0])
+
+
+def _bt_independent_oracle(X, theta, w, table):
+    """The scan rebuilt without its roots_mod, multiplicative_suite or
+    progression code: the roots by testing every a < ell, phi by a gcd
+    count, and q_val from Q_ell_brute's direct test of ell | p^2 + 1, which
+    sums through _weighted_sum and so is bitwise the progression sum.
+
+    Returns the (ell, q_val) of each modulus with a root and the exception
+    count.
+    """
+    L = int(X ** theta)
+    scale = 2.0 / experiments.gamma_theta(theta) * w.mass * X / math.log(X)
+    rows, exceptions = [], 0
+    for ell in range(L + 1, 2 * L + 1):
+        a = np.arange(ell, dtype=np.int64)
+        n_roots = int(np.count_nonzero((a * a + 1) % ell == 0))
+        if not n_roots:
+            continue
+        phi = int(np.count_nonzero(np.gcd(a, ell) == 1))
+        q_val = Q_ell_brute(X, ell, w, table)
+        rows.append((ell, q_val))
+        exceptions += q_val > scale * n_roots / phi
+    return rows, exceptions
+
+
+@settings(derandomize=True, max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(X=st.integers(2, 4000), theta=st.floats(0.5, 0.9),
+       w=st.sampled_from(MODES), level=st.sampled_from([None, 3.0, 30.0]))
+def test_bt_scan_matches_independent_oracle(prime_table, monkeypatch, X,
+                                            theta, w, level):
+    # a level above gamma(theta) shrinks the bound so that exceptions occur
+    with monkeypatch.context() as m:
+        if level is not None:
+            m.setattr(experiments, "gamma_theta", lambda theta: level)
+        rows, want = _bt_independent_oracle(X, theta, w, prime_table)
+        seen, got = _bt_recorded(monkeypatch, X, theta, w, prime_table)
+    assert _hex_rows(seen) == _hex_rows(rows)
+    assert got == want
 
 
 # ------------------------------------------------------- chebyshev identity

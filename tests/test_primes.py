@@ -182,23 +182,51 @@ def test_jacobi_rejects_even_modulus():
 
 
 # 315 = 3^2 5 7 has a square factor; 87097 = 251 * 347 and 99991 (prime)
-# sit below the small table's limit, 198907 = 443 * 449 above it.
-@pytest.mark.parametrize("n", [1, 3, 15, 315, 15015, 99991, 87097, 198907])
+# sit below the small table's limit, 198907 = 443 * 449 above it.  3^7 and
+# 7^4 are prime powers, 99989 is a prime = 1 (mod 4), and with 45 = 3^2 5
+# every odd class mod 8 holds a prime and a composite modulus.
+@pytest.mark.parametrize("n", [1, 3, 15, 45, 315, 2187, 2401, 15015, 99989,
+                               99991, 87097, 198907])
 def test_jacobi_table_matches_jacobi_at_every_residue(n):
     chi = jacobi_table(n)
     assert chi.dtype == np.int8
     assert chi.tolist() == [jacobi(a, n) for a in range(n)]
 
 
-def test_jacobi_table_calls_jacobi_only_at_primes(monkeypatch):
-    firsts = []
-    real = primes.jacobi
-    monkeypatch.setattr(primes, "jacobi",
-                        lambda a, n: firsts.append(a) or real(a, n))
-    for n in (15015, 198907):
-        firsts.clear()
-        jacobi_table(n)
-        assert firsts == [p for p in range(n) if is_prime(p)]
+@given(st.integers(0, 1499).map(lambda k: 2 * k + 1))
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_jacobi_table_matches_jacobi_at_small_odd_moduli(n):
+    assert jacobi_table(n).tolist() == [jacobi(a, n) for a in range(n)]
+
+
+def test_jacobi_table_makes_no_scalar_jacobi_call(monkeypatch):
+    def refuse(a, n):
+        raise AssertionError(f"scalar jacobi({a}, {n}) called")
+
+    monkeypatch.setattr(primes, "jacobi", refuse)
+    for n, factors in ((15015, [3, 5, 7, 11, 13]), (198907, [443, 449])):
+        chi = jacobi_table(n)
+        assert not chi[factors].any()
+        # nonzero exactly on the units, and a nontrivial character (n is
+        # not a square) sums to 0 over them
+        assert np.count_nonzero(chi) == sum(
+            1 for a in range(n) if math.gcd(a, n) == 1)
+        assert int(chi.sum(dtype=np.int64)) == 0
+
+
+def test_pow_mod_matches_builtin_pow():
+    top = MAX_INT64_SQUARE_ROOT
+    m = np.array([2, 3, 7, 1000003, top - 2, top - 1, top] * 3, dtype=np.int64)
+    rng = np.random.default_rng(5)
+    base = rng.integers(0, m)
+    base[:7] = m[:7] - 1  # the largest residue squares to the largest product
+    e = np.concatenate([np.zeros(7, dtype=np.int64), rng.integers(1, 64, 7),
+                        rng.integers(2 ** 40, 2 ** 62, 7)])
+    got = primes._pow_mod(base, e.copy(), m)
+    assert got.dtype == np.int64
+    assert got.tolist() == [pow(int(b), int(k), int(q))
+                            for b, k, q in zip(base, e, m)]
+    assert primes._pow_mod(*[np.array([], dtype=np.int64)] * 3).shape == (0,)
 
 
 def test_sqrt_minus_one_examples():
