@@ -20,7 +20,7 @@ from . import experiments, theorems
 from .experiments import SmoothWeight
 from .primes import MAX_SIEVE_LIMIT, sieve_primes
 from .reports import ExperimentReport, markdown_summary, to_json
-from .sieve_functions import (buchstab_w, build_buchstab_table,
+from .sieve_functions import (DEFAULT_STEP, buchstab_w, build_buchstab_table,
                               build_sieve_tables, eval_F, eval_f,
                               selberg_sigma2)
 
@@ -33,7 +33,7 @@ DEFAULTS = {
     "X": 10000, "ell": 5, "u": 11.2, "theta0": 0.9926, "vartheta": 0.847,
     "theta": 0.55, "alpha": 1.0 / 12.0, "beta": 0.622, "r": 4, "k": 1,
     "z": 10.0, "d": 1, "a": 1, "L": 4, "p": 3, "q": 5, "m": 1,
-    "weight": "sharp", "epsilon0": 0.1, "table_step": 1e-4,
+    "weight": "sharp", "epsilon0": 0.1, "table_step": DEFAULT_STEP,
     "beta_step": 1e-3, "step": 0.01,
 }
 
@@ -95,6 +95,13 @@ def _emit(text: str, out: str | None) -> None:
         handle.write(text)
 
 
+def _weighted_params(args: argparse.Namespace) -> theorems.WeightedSieveParams:
+    """The weighted sieve's parameters, at delta = min(solve_delta(), beta)."""
+    return theorems.WeightedSieveParams(
+        alpha=args.alpha, beta=args.beta,
+        delta=min(theorems.solve_delta(), args.beta), r=args.r)
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -110,10 +117,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if target == "thm2":
             reports.append(theorems.theorem2_integral(args.vartheta))
         elif target == "thm1":
-            delta = min(theorems.solve_delta(), args.beta)
-            params = theorems.WeightedSieveParams(
-                alpha=args.alpha, beta=args.beta, delta=delta, r=args.r)
-            reports.append(theorems.compute_C(params, ftable))
+            reports.append(theorems.compute_C(_weighted_params(args), ftable))
         else:
             reports.append(theorems.dartyge_margin(args.u, args.theta0,
                                                    ftable, wtable))
@@ -179,12 +183,6 @@ def _cmd_functions(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # empirical
 
-def _scalar_report(name: str, params: dict, value: float,
-                   extra: dict | None = None) -> ExperimentReport:
-    return ExperimentReport(name=name, params=params,
-                            aggregates={"value": value, **(extra or {})})
-
-
 def _run_experiment(args: argparse.Namespace):
     """Returns (report, hard_invariants_ok)."""
     w = SmoothWeight(mode=args.weight, epsilon0=args.epsilon0)
@@ -198,48 +196,38 @@ def _run_experiment(args: argparse.Namespace):
                   or report.counters["bound_holds"])
         return report, ok
 
+    # The five weighted counts: report name, count function and argument
+    # keys, each called as fn(X, *keys, w, table).  The functions are
+    # looked up at each run, so a wrapper installed after import is seen.
+    counts = {
+        "q-ell": ("q_ell", experiments.Q_ell, ("ell",)),
+        "q-ell-u": ("q_ell_u", experiments.Q_ell_u, ("ell", "u")),
+        "phi": ("phi_sifted", experiments.phi_sifted, ("z", "d", "a")),
+        "phi-coprime": ("phi_sifted_coprime",
+                        experiments.phi_sifted_coprime, ("z", "d")),
+        "a-d": ("a_d_count", experiments.A_d_count, ("ell", "d")),
+    }
     X = args.X
-    cap = experiments.X_FACTOR_CAP if name in (
-        "bv", "wolke", "chebyshev", "bt", "square-sieve", "weighted",
-        "almost-prime", "gpf", "dartyge") else MAX_SIEVE_LIMIT // 2
-    if X > cap:
-        # the experiment or its table to 2X would refuse this X, so refuse
-        # it by name before the table is sieved
-        experiments._check_window(X, cap)
+    # a count needs only the prime table to 2X, and every other experiment
+    # stops at X_FACTOR_CAP; X is refused by name before the table is sieved
+    experiments._check_window(X, MAX_SIEVE_LIMIT // 2 if name in counts
+                              else experiments.X_FACTOR_CAP)
     table = sieve_primes(max(2 * X, 10 ** 5))
-    if name == "q-ell":
-        value = experiments.Q_ell(X, args.ell, w, table)
-        params = {"X": X, "ell": args.ell, "weight": args.weight}
-        if args.oracle:
-            brute = experiments.Q_ell_brute(X, args.ell, w, table)
-            report = ExperimentReport(
-                name="q_ell", params=params, aggregates={"value": value},
-                residuals={"fast_vs_brute": abs(value - brute)})
-            return report, report.residuals["fast_vs_brute"] == 0.0
-        return _scalar_report("q_ell", params, value), True
-    if name == "q-ell-u":
-        value = experiments.Q_ell_u(X, args.ell, args.u, w, table)
-        return _scalar_report("q_ell_u", {"X": X, "ell": args.ell,
-                                          "u": args.u,
-                                          "weight": args.weight}, value), True
-    if name == "phi":
-        value = experiments.phi_sifted(X, args.z, args.d, args.a, w, table)
-        return _scalar_report("phi_sifted", {"X": X, "z": args.z,
-                                             "d": args.d, "a": args.a,
-                                             "weight": args.weight}, value), \
-            True
-    if name == "phi-coprime":
-        value = experiments.phi_sifted_coprime(X, args.z, args.d, w, table)
-        return _scalar_report("phi_sifted_coprime",
-                              {"X": X, "z": args.z, "d": args.d,
-                               "weight": args.weight}, value), True
-    if name == "a-d":
-        value = experiments.A_d_count(X, args.ell, args.d, w, table)
-        r_d = value - experiments.A_d_model(X, args.ell, args.d, w, table)
-        return _scalar_report("a_d_count", {"X": X, "ell": args.ell,
-                                            "d": args.d,
-                                            "weight": args.weight},
-                              value, {"r_d": r_d}), True
+    if name in counts:
+        report_name, fn, keys = counts[name]
+        values = [getattr(args, key) for key in keys]
+        value = fn(X, *values, w, table)
+        aggregates, residuals = {"value": value}, {}
+        if name == "a-d":
+            aggregates["r_d"] = value - experiments.A_d_model(X, *values, w,
+                                                               table)
+        if name == "q-ell" and args.oracle:
+            residuals["fast_vs_brute"] = abs(
+                value - experiments.Q_ell_brute(X, *values, w, table))
+        params = {"X": X, **dict(zip(keys, values)), "weight": args.weight}
+        report = ExperimentReport(name=report_name, params=params,
+                                  aggregates=aggregates, residuals=residuals)
+        return report, residuals.get("fast_vs_brute", 0.0) == 0.0
     if name == "bv":
         return experiments.bv_error_average(X, args.k, w, table), True
     if name == "wolke":
@@ -258,10 +246,8 @@ def _run_experiment(args: argparse.Namespace):
                                   counters={"count": count})
         return report, True
     if name == "weighted":
-        delta = min(theorems.solve_delta(), args.beta)
-        params = theorems.WeightedSieveParams(
-            alpha=args.alpha, beta=args.beta, delta=delta, r=args.r)
-        report = experiments.weighted_sieve_experiment(X, params, w, table)
+        report = experiments.weighted_sieve_experiment(
+            X, _weighted_params(args), w, table)
         ok = (report.residuals["psi_identity_rel"] <= 1e-9
               and report.counters["weight_bound_violations"] == 0)
         return report, ok

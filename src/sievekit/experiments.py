@@ -221,7 +221,7 @@ def phi_sifted(X: int, z: float, d: int, a: int, w: SmoothWeight,
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if math.gcd(a, d) != 1:
-        raise ValueError(f"residue {a} not coprime to modulus {d}")
+        raise ValueError(f"a must be coprime to d = {d}, got {a}")
     if not 2 <= z < math.inf:
         raise ValueError(f"z must be >= 2, got {z}")
     n = _progressions(X, [a % d], d)
@@ -761,7 +761,7 @@ def weil_sum_check(p: int, q: int, m: int) -> ExperimentReport:
     if p == q:
         raise ValueError("p and q must be distinct")
     if p % 2 == 0 or q % 2 == 0 or not (is_prime(p) and is_prime(q)):
-        raise ValueError(f"need distinct odd primes, got {p}, {q}")
+        raise ValueError(f"p and q must be odd primes, got {p}, {q}")
     pq = p * q
     if pq > 10 ** 5:
         raise ValueError(f"pq must be <= 1e5, got {pq}")
@@ -796,7 +796,7 @@ def weil_prime_sums(p: int) -> np.ndarray:
     the whole row costs O(p) in exact int64 arithmetic.
     """
     if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise ValueError(f"need an odd prime, got {p}")
+        raise ValueError(f"p must be an odd prime, got {p}")
     leg, A, B = _legendre_sums(p)
     out = A + B * leg
     out[0] = p * leg[p - 1]

@@ -357,18 +357,20 @@ WINDOW_CAPS = [(name, experiments.X_FACTOR_CAP) for name in (
     "almost-prime", "gpf", "dartyge")] + [
     (name, primes.MAX_SIEVE_LIMIT // 2) for name in (
         "q-ell", "q-ell-u", "phi", "phi-coprime", "a-d")]
+# just over the cap, and below 1, where the range named is still the cap's
+WINDOW_REFUSALS = [
+    pytest.param(name, cap, X, id=name if X > cap else f"{name}-X={X}")
+    for name, cap in WINDOW_CAPS for X in (cap + 1, 0, -1)]
 
 
-@pytest.mark.parametrize("experiment,cap", WINDOW_CAPS,
-                         ids=[name for name, _ in WINDOW_CAPS])
+@pytest.mark.parametrize("experiment,cap,X", WINDOW_REFUSALS)
 def test_window_over_factor_cap_exits_1_before_the_prime_table(
-        capsys, monkeypatch, experiment, cap):
+        capsys, monkeypatch, experiment, cap, X):
     # X is refused by name, so the table to 2X (about 4 GB at X = 4e8)
     # must not be sieved first
     def refuse(limit):
         raise AssertionError(f"sieved to {limit} before refusing X")
     monkeypatch.setattr(cli, "sieve_primes", refuse)
-    X = cap + 1
     code, out, err = run_cli(capsys, "empirical", experiment, "--X", str(X))
     assert code == 1 and out == ""
     assert err == f"error: X must be in [1, {cap}], got {X}\n"
@@ -465,6 +467,9 @@ def test_config_value_exits_as_its_flag_does(capsys, tmp_path, key, value,
     ("empirical a-d --X 300 --ell 0",
      "ell must be in [1, 1000000000000], got 0"),
     ("empirical weil --p 5 --q 5", "p and q must be distinct"),
+    ("empirical weil --p 9 --q 5", "p and q must be odd primes, got 9, 5"),
+    ("empirical phi --X 300 --d 6 --a 4",
+     "a must be coprime to d = 6, got 4"),
     ("empirical weil --p 331 --q 337", "pq must be <= 1e5, got 111547"),
     ("empirical square-sieve --X 100 --L 200", "got L=200"),
     ("empirical square-sieve --X 500001 --L 500001",
@@ -535,13 +540,19 @@ _BOUNDED_ARGV = st.one_of(
 _RAW_PYTHON = re.compile("Traceback|has no attribute|unsupported operand|"
                          "invalid literal|could not convert|"
                          "math domain error|modulus must be|limit must be")
+# what an exit-1 message names as its cause: a parameter (one of the CLI's,
+# or the argument s or u of a sieve function) or a resource (memory in MiB,
+# table rows); the residue a is named beside its modulus d
+_CAUSES = re.compile(r"\b(X|ell|u|z|d|k|L|p|q|pq|max_pq|r|s|x|theta|theta0|"
+                     r"vartheta|alpha|beta|epsilon0|step|min|max|MiB|rows)\b")
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(argv=_BOUNDED_ARGV)
 def test_bounded_argv_keeps_the_exit_contract(argv):
     # exit 0, 1 or 2; an exit-1 message names its cause in the program's
-    # own words; an exit 1 without one is a failed check with its report
+    # own words, from the fixed list; an exit 1 without one is a failed
+    # check with its report
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -549,6 +560,8 @@ def test_bounded_argv_keeps_the_exit_contract(argv):
     if code == 1 and err.getvalue():
         assert err.getvalue().startswith("error: "), argv
         assert not _RAW_PYTHON.search(err.getvalue()), (argv, err.getvalue())
+        assert _CAUSES.search(err.getvalue()[len("error: "):]), (
+            argv, err.getvalue())
     elif code == 1:
         assert json.loads(out.getvalue()), argv
 

@@ -19,7 +19,8 @@ and at X = 1000003 (plateau, vartheta = 0.6), where the batched pass
 reaches deeper levels, and at X = 501878 (the benchmark's window size), the
 weighted sieve at X = 100003 under both smooth weights and at X = 20001
 with alpha = 0.2 (z > 5, so the prime 5 sifts), the sifted count phi at
-X = 2e4 on a residue class mod 3, the square sieve's pair counts at
+X = 2e4 on a residue class mod 3 and coprime to 6, Q_ell without its
+oracle, the square sieve's pair counts at
 (X, L) = (2e4, 100) and (1e6, 2e4), both nonzero,
 the exhaustive Weil scan, literal Jacobi-symbol sums at
 pq near 1e5 (one with gcd(m, pq) > 1) and at pq = 15 with m = -1 and
@@ -83,6 +84,10 @@ GOLDEN = [
      "859575b6012b3cd087ed9eb08695b0002e67e14fa70946a05fc5d46665841657"),
     ("empirical phi --X 20000 --z 10 --d 3 --a 1", 0,
      "9c58392ef9a9fc40189299284d23e89bef31154e6c13f8b0a38dfc2929f166dd"),
+    ("empirical phi-coprime --X 20000 --z 10 --d 6", 0,
+     "80eab17cb357e9d8142187f1c5c9b628f0fe88e2120816aa462ba1799872a0e9"),
+    ("empirical q-ell --X 20000 --ell 13", 0,
+     "9c631f1f8767bea7ca3fe39fa6086159d5e9706648c413943dc15b10e617a6d7"),
     ("empirical bt --X 20000", 0,
      "35f3a1aedfaf2ffd058436878f604a81d69a35e71b2700315f18de2726554475"),
     ("empirical bt --X 20000 --theta 0.9 --weight plateau", 0,

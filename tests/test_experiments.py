@@ -613,12 +613,17 @@ def test_window_stats_match_generator_across_chunks(prime_table, monkeypatch):
 
 # ---------------------------------------------- window stats against factorize
 
-# any X <= 4000, or one where isqrt(2X) is a prime = 1 (mod 4), the split's
-# boundary class (X = 13, 85)
-_ORACLE_X = st.one_of(
-    st.integers(1, 4000),
-    st.sampled_from([5, 13, 17, 29, 37, 41, 53, 61, 73, 89]).flatmap(
-        lambda p: st.integers((p * p + 1) // 2, min(p * (p + 2) // 2, 4000))))
+def _oracle_x(lo):
+    """Any X in [lo, 4000], or one there where isqrt(2X) is a prime
+    = 1 (mod 4), the split's boundary class (X = 13, 85)."""
+    boundary = [p for p in (5, 13, 17, 29, 37, 41, 53, 61, 73, 89)
+                if p * (p + 2) // 2 >= lo]
+    return st.one_of(st.integers(lo, 4000), st.sampled_from(boundary).flatmap(
+        lambda p: st.integers(max(lo, (p * p + 1) // 2),
+                              min(p * (p + 2) // 2, 4000))))
+
+
+_ORACLE_X = _oracle_x(1)
 
 
 @functools.cache
@@ -739,6 +744,45 @@ def test_weighted_sieve_matches_factorize_per_n(X, chunk, alpha, beta, r, w):
             log_m = math.log(float(p_i) ** 2 + 1.0) - math.log(2.0)
             want["weight_bound_violations"] += omega_m >= eta + log_m / log_y
     assert {k: rep.counters[k] for k in _WEIGHTED_COUNTERS} == want
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(X=_oracle_x(650), chunk=st.sampled_from([None, 1, 7, 64]),
+       vartheta=st.sampled_from([0.51, 0.6, 0.847, 0.99]),
+       w=st.sampled_from(MODES))
+def test_chebyshev_matches_factorize_per_n(X, chunk, vartheta, w):
+    # Each prime power n = p^j in the window adds Lambda(n) g(n/X) log ell
+    # to H_dual, and each prime n adds g(n/X) log ell to one of H1..H4, for
+    # every ell^k dividing n^2 + 1 by factorize: ell^k <= X^flat gives H1,
+    # else k > 1 gives H4, else ell <= X^vartheta gives H2, else H3.  The
+    # code sums by modulus, this by n, so they agree to roundoff: within
+    # 1e-12 of H_direct, which bounds each sum.  X starts at 650, the
+    # least X with X^flat >= 2.
+    table = sieve_primes(2 * X)
+    rep = _window_with_chunk(
+        chunk, lambda: chebyshev_decomposition(X, vartheta, w, table))
+    flat, level = x_flat(X), X ** vartheta
+    spf = table.smallest_prime_factor
+    want = dict.fromkeys(("H_direct", "H_dual", "H1", "H2", "H3", "H4"), 0.0)
+    for n in range(X + 1, 2 * X + 1):
+        p, m = int(spf[n]), n
+        while m % p == 0:
+            m //= p
+        if m != 1:
+            continue  # not a prime power: Lambda(n) = 0
+        g = weight_eval(w, n / X)
+        want["H_direct"] += math.log(p) * g * math.log(n * n + 1)
+        for ell, e in _pairs_of_n2_plus_1(n):
+            for k in range(1, e + 1):
+                want["H_dual"] += math.log(p) * g * math.log(ell)
+                if n != p:
+                    continue
+                part = ("H1" if ell ** k <= flat else "H4" if k > 1
+                        else "H2" if ell <= level else "H3")
+                want[part] += g * math.log(ell)
+    tol = 1e-12 * rep.aggregates["H_direct"]
+    for name, value in want.items():
+        assert abs(rep.aggregates[name] - value) <= tol, name
 
 
 def _assert_chebyshev_matches_generator(X, table, w=SHARP, flat=None):
