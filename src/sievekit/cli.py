@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import experiments, theorems
 from .experiments import SmoothWeight
@@ -25,9 +26,6 @@ from .sieve_functions import (DEFAULT_STEP, buchstab_w, build_buchstab_table,
                               selberg_sigma2)
 
 FUNCTION_NAMES = ("F", "f", "w", "sigma2", "gamma_theta")
-EXPERIMENT_NAMES = ("q-ell", "q-ell-u", "phi", "phi-coprime", "a-d", "bv",
-                    "wolke", "chebyshev", "bt", "weil", "square-sieve",
-                    "weighted", "almost-prime", "gpf", "dartyge")
 
 DEFAULTS = {
     "X": 10000, "ell": 5, "u": 11.2, "theta0": 0.9926, "vartheta": 0.847,
@@ -37,8 +35,9 @@ DEFAULTS = {
     "beta_step": 1e-3, "step": 0.01,
 }
 
-class ConfigError(ValueError):
-    """Bad key or unparsable value in a config file."""
+class UsageError(ValueError):
+    """A usage error that argparse cannot see: a bad key or value in a
+    config file, or a flag that the command does not read."""
 
 
 def _load_config(path: str, actions: dict[str, argparse.Action]
@@ -50,10 +49,10 @@ def _load_config(path: str, actions: dict[str, argparse.Action]
             if not line:
                 continue
             if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in actions:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
             entries[key] = value
     return entries
 
@@ -69,11 +68,11 @@ def _apply_config(args: argparse.Namespace, config: dict[str, str],
         try:
             value = action.type(raw) if action.type else raw
         except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from exc
+            raise UsageError(f"config key {key!r}: {exc}") from exc
         if action.choices is not None and value not in action.choices:
             allowed = ", ".join(map(repr, action.choices))
-            raise ConfigError(f"config key {key!r}: invalid choice {value!r} "
-                              f"(choose from {allowed})")
+            raise UsageError(f"config key {key!r}: invalid choice {value!r} "
+                             f"(choose from {allowed})")
         setattr(args, key, value)
 
 
@@ -183,85 +182,95 @@ def _cmd_functions(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # empirical
 
-def _run_experiment(args: argparse.Namespace):
-    """Returns (report, hard_invariants_ok)."""
-    w = SmoothWeight(mode=args.weight, epsilon0=args.epsilon0)
-    name = args.experiment
-    if name == "weil":
-        if args.max_pq is not None:
-            report = experiments.weil_exhaustive(args.max_pq)
-            return report, report.counters["violations"] == 0
-        report = experiments.weil_sum_check(args.p, args.q, args.m)
-        ok = bool(report.counters["degenerate"]
-                  or report.counters["bound_holds"])
-        return report, ok
+class _Experiment(NamedTuple):
+    """One empirical experiment: fn and the values passed to it.  reads
+    names them in the order of fn's parameters: a flag by its dest, or w
+    (the window weight), params (the weighted sieve's) or table (the prime
+    table to max(2X, 10^5)).  Only what is read is built, the table last."""
+    fn: Callable
+    reads: str  # the names, space-separated
+    cap: int | None = experiments.X_FACTOR_CAP  # X's cap; None: no X
+    passes: Callable[[ExperimentReport], bool] = lambda report: True
+    count: str | None = None  # report name of a weighted count's number
+    oracle: Callable | None = None  # the count's brute-force twin
+    model: Callable | None = None  # the count's main term, for r_d
 
-    # The five weighted counts: report name, count function and argument
-    # keys, each called as fn(X, *keys, w, table).  The functions are
-    # looked up at each run, so a wrapper installed after import is seen.
-    counts = {
-        "q-ell": ("q_ell", experiments.Q_ell, ("ell",)),
-        "q-ell-u": ("q_ell_u", experiments.Q_ell_u, ("ell", "u")),
-        "phi": ("phi_sifted", experiments.phi_sifted, ("z", "d", "a")),
-        "phi-coprime": ("phi_sifted_coprime",
-                        experiments.phi_sifted_coprime, ("z", "d")),
-        "a-d": ("a_d_count", experiments.A_d_count, ("ell", "d")),
+
+def _weil(max_pq: int | None, p: int, q: int, m: int) -> ExperimentReport:
+    return experiments.weil_sum_check(p, q, m) if max_pq is None \
+        else experiments.weil_exhaustive(max_pq)
+
+
+def _square_sieve(X: int, L: int, table) -> ExperimentReport:
+    return ExperimentReport(
+        name="square_sieve_count", params={"X": X, "L": L},
+        counters={"count": experiments.square_sieve_count(X, L, table)})
+
+
+def _experiments() -> dict[str, _Experiment]:
+    """Every experiment, by CLI name, in the order EXPERIMENT_NAMES keeps.
+    The functions are looked up at each call, so a wrapper installed after
+    import is the one run."""
+    ex, E = experiments, _Experiment
+    wide = MAX_SIEVE_LIMIT // 2  # a count sieves only the table to 2X
+    return {
+        "q-ell": E(ex.Q_ell, "X ell w table", wide,
+                   lambda r: r.residuals.get("fast_vs_brute", 0.0) == 0.0,
+                   count="q_ell", oracle=ex.Q_ell_brute),
+        "q-ell-u": E(ex.Q_ell_u, "X ell u w table", wide, count="q_ell_u"),
+        "phi": E(ex.phi_sifted, "X z d a w table", wide, count="phi_sifted"),
+        "phi-coprime": E(ex.phi_sifted_coprime, "X z d w table", wide,
+                         count="phi_sifted_coprime"),
+        "a-d": E(ex.A_d_count, "X ell d w table", wide, count="a_d_count",
+                 model=ex.A_d_model),
+        "bv": E(ex.bv_error_average, "X k w table"),
+        "wolke": E(ex.wolke_error_average, "X z k w table"),
+        "chebyshev": E(ex.chebyshev_decomposition, "X vartheta w table",
+                       passes=lambda r: r.residuals["identity_rel"] <= 1e-9),
+        "bt": E(ex.bt_exception_count, "X theta w table"),
+        # the scan's violations, or the one pair's bound_holds
+        "weil": E(_weil, "max_pq p q m", None,
+                  lambda r: r.counters.get("violations", 0) == 0
+                  and r.counters.get("bound_holds", 1) == 1),
+        "square-sieve": E(_square_sieve, "X L table"),
+        "weighted": E(ex.weighted_sieve_experiment, "X params w table",
+                      passes=lambda r: r.residuals["psi_identity_rel"] <= 1e-9
+                      and r.counters["weight_bound_violations"] == 0),
+        "almost-prime": E(ex.almost_prime_survey, "X r table w"),
+        "gpf": E(ex.gpf_survey, "X vartheta table"),
+        "dartyge": E(ex.dartyge_survey, "X u table"),
     }
-    X = args.X
-    # a count needs only the prime table to 2X, and every other experiment
-    # stops at X_FACTOR_CAP; X is refused by name before the table is sieved
-    experiments._check_window(X, MAX_SIEVE_LIMIT // 2 if name in counts
-                              else experiments.X_FACTOR_CAP)
-    table = sieve_primes(max(2 * X, 10 ** 5))
-    if name in counts:
-        report_name, fn, keys = counts[name]
-        values = [getattr(args, key) for key in keys]
-        value = fn(X, *values, w, table)
-        aggregates, residuals = {"value": value}, {}
-        if name == "a-d":
-            aggregates["r_d"] = value - experiments.A_d_model(X, *values, w,
-                                                               table)
-        if name == "q-ell" and args.oracle:
-            residuals["fast_vs_brute"] = abs(
-                value - experiments.Q_ell_brute(X, *values, w, table))
-        params = {"X": X, **dict(zip(keys, values)), "weight": args.weight}
-        report = ExperimentReport(name=report_name, params=params,
-                                  aggregates=aggregates, residuals=residuals)
-        return report, residuals.get("fast_vs_brute", 0.0) == 0.0
-    if name == "bv":
-        return experiments.bv_error_average(X, args.k, w, table), True
-    if name == "wolke":
-        return experiments.wolke_error_average(X, args.z, args.k, w,
-                                               table), True
-    if name == "chebyshev":
-        report = experiments.chebyshev_decomposition(X, args.vartheta, w,
-                                                     table)
-        return report, report.residuals["identity_rel"] <= 1e-9
-    if name == "bt":
-        return experiments.bt_exception_count(X, args.theta, w, table), True
-    if name == "square-sieve":
-        count = experiments.square_sieve_count(X, args.L, table)
-        report = ExperimentReport(name="square_sieve_count",
-                                  params={"X": X, "L": args.L},
-                                  counters={"count": count})
-        return report, True
-    if name == "weighted":
-        report = experiments.weighted_sieve_experiment(
-            X, _weighted_params(args), w, table)
-        ok = (report.residuals["psi_identity_rel"] <= 1e-9
-              and report.counters["weight_bound_violations"] == 0)
-        return report, ok
-    if name == "almost-prime":
-        return experiments.almost_prime_survey(X, args.r, table, w), True
-    if name == "gpf":
-        return experiments.gpf_survey(X, args.vartheta, table), True
-    return experiments.dartyge_survey(X, args.u, table), True
+
+
+EXPERIMENT_NAMES = tuple(_experiments())
 
 
 def _cmd_empirical(args: argparse.Namespace) -> int:
-    report, ok = _run_experiment(args)
+    name, X = args.experiment, args.X
+    spec = _experiments()[name]
+    if args.oracle and spec.oracle is None:
+        raise UsageError(f"--oracle: empirical {name} has no oracle")
+    if spec.cap is not None:  # refuse X by name before the table is sieved
+        experiments._check_window(X, spec.cap)
+    make = {"w": lambda: SmoothWeight(args.weight, args.epsilon0),
+            "params": lambda: _weighted_params(args),
+            "table": lambda: sieve_primes(max(2 * X, 10 ** 5))}
+    reads = spec.reads.split()
+    made = {key: build() for key, build in make.items() if key in reads}
+    values = [made[key] if key in made else getattr(args, key)
+              for key in reads]
+    report = spec.fn(*values)
+    if spec.count is not None:
+        aggregates, residuals = {"value": report}, {}
+        if spec.model is not None:
+            aggregates["r_d"] = report - spec.model(*values)
+        if args.oracle:
+            residuals["fast_vs_brute"] = abs(report - spec.oracle(*values))
+        flags = {key: getattr(args, key) for key in reads if key not in made}
+        report = ExperimentReport(spec.count, {**flags, "weight": args.weight},
+                                  aggregates=aggregates, residuals=residuals)
     _emit(to_json(report), args.out)
-    return 0 if ok else 1
+    return 0 if spec.passes(report) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +429,7 @@ def main(argv: list[str] | None = None) -> int:
             _apply_config(args, _load_config(args.config, actions), actions)
         _apply_defaults(args)
         return _DISPATCH[args.command](args)
-    except ConfigError as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:

@@ -27,8 +27,9 @@ same strided views from the root column.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -104,26 +105,28 @@ def _mollifier_step(t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SmoothWeight:
-    """Window weight g supported in [1, 2] with precomputed mass = integral g.
+    """Window weight g supported in [1, 2]; mass = integral g.
 
     sharp is the exact indicator of (1, 2]; bump and plateau are the usual
     compactly supported smooth shapes, both symmetric about 3/2.
     """
     mode: str
     epsilon0: float = 0.1
-    mass: float = field(init=False)
 
     def __post_init__(self):
         if self.mode not in ("sharp", "bump", "plateau"):
             raise ValueError(f"unknown weight mode {self.mode!r}")
         if not 0.0 < self.epsilon0 < 0.5:
             raise ValueError(f"epsilon0 must be in (0, 1/2), got {self.epsilon0}")
+
+    @functools.cached_property
+    def mass(self) -> float:
+        """Integral of g over [1, 2], by quadrature on first read, then
+        cached: only the models of A_d, Chebyshev's H1 and bt read it."""
         if self.mode == "sharp":
-            mass = 1.0
-        else:
-            mass = integrate_checked(lambda x: weight_eval(self, x), 1.0, 2.0,
-                                     tol=1e-10)
-        object.__setattr__(self, "mass", mass)
+            return 1.0
+        return integrate_checked(lambda x: weight_eval(self, x), 1.0, 2.0,
+                                 tol=1e-10)
 
     def values(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

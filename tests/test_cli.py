@@ -1,6 +1,7 @@
 """CLI surface: exit codes, determinism, config precedence, output shapes."""
 
 import contextlib
+import inspect
 import io
 import json
 import re
@@ -363,17 +364,92 @@ WINDOW_REFUSALS = [
     for name, cap in WINDOW_CAPS for X in (cap + 1, 0, -1)]
 
 
+@pytest.fixture
+def unsieved(monkeypatch):
+    """Fail the test if the CLI sieves a prime table."""
+    def refuse(limit):
+        raise AssertionError(f"sieved to {limit} before refusing the input")
+    monkeypatch.setattr(cli, "sieve_primes", refuse)
+
+
 @pytest.mark.parametrize("experiment,cap,X", WINDOW_REFUSALS)
 def test_window_over_factor_cap_exits_1_before_the_prime_table(
-        capsys, monkeypatch, experiment, cap, X):
+        capsys, unsieved, experiment, cap, X):
     # X is refused by name, so the table to 2X (about 4 GB at X = 4e8)
     # must not be sieved first
-    def refuse(limit):
-        raise AssertionError(f"sieved to {limit} before refusing X")
-    monkeypatch.setattr(cli, "sieve_primes", refuse)
     code, out, err = run_cli(capsys, "empirical", experiment, "--X", str(X))
     assert code == 1 and out == ""
     assert err == f"error: X must be in [1, {cap}], got {X}\n"
+
+
+@pytest.mark.parametrize("argv,cause", [
+    ("--beta 0.7", "beta must stay below 0.68, got 0.7"),
+    ("--r 0", "r must be >= 1, got 0"),
+    ("--epsilon0 0.7", "epsilon0 must be in (0, 1/2), got 0.7"),
+])
+def test_weighted_parameters_exit_1_before_the_prime_table(capsys, unsieved,
+                                                           argv, cause):
+    code, out, err = run_cli(capsys, "empirical", "weighted", *argv.split())
+    assert code == 1 and out == ""
+    assert err == f"error: {cause}\n"
+
+
+# the experiments whose function takes the window weight w, and those of
+# them whose model term reads its mass
+READS_WEIGHT = {"q-ell", "q-ell-u", "phi", "phi-coprime", "a-d", "bv",
+                "wolke", "chebyshev", "bt", "weighted", "almost-prime"}
+READS_MASS = {"a-d", "chebyshev", "bt"}
+SMALL_WINDOW = ("--X", "2000")  # chebyshev needs X >= 650
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENT_NAMES)
+def test_each_experiment_passes_its_values_by_parameter_name(experiment):
+    # fn is called positionally, so each declared value must sit at the
+    # parameter of its own name
+    spec = cli._experiments()[experiment]
+    names = list(inspect.signature(spec.fn).parameters)
+    assert spec.reads.split() == names
+    assert (names[0] == "X") == (spec.cap is not None)
+    assert ("w" in names) == (experiment in READS_WEIGHT)
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENT_NAMES)
+def test_epsilon0_is_checked_only_where_the_weight_is_read(capsys,
+                                                         experiment):
+    argv = ("empirical", experiment, *SMALL_WINDOW)
+    code, out, err = run_cli(capsys, *argv, "--epsilon0", "0.7")
+    if experiment in READS_WEIGHT:
+        assert code == 1 and out == ""
+        assert err == "error: epsilon0 must be in (0, 1/2), got 0.7\n"
+    else:
+        assert (code, out, err) == run_cli(capsys, *argv)
+        assert code == 0
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENT_NAMES)
+def test_oracle_is_a_usage_error_off_q_ell(capsys, experiment):
+    code, out, err = run_cli(capsys, "empirical", experiment, *SMALL_WINDOW,
+                             "--oracle")
+    if experiment == "q-ell":
+        assert code == 0
+        assert json.loads(out)["residuals"] == {"fast_vs_brute": 0.0}
+    else:
+        assert code == 2 and out == ""
+        assert err == (f"usage error: --oracle: empirical {experiment} "
+                       "has no oracle\n")
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENT_NAMES)
+def test_weight_mass_is_integrated_only_where_it_is_read(capsys, monkeypatch,
+                                                         experiment):
+    calls = []
+    real = experiments.integrate_checked
+    monkeypatch.setattr(experiments, "integrate_checked",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    code, _, _ = run_cli(capsys, "empirical", experiment, *SMALL_WINDOW,
+                         "--weight", "plateau")
+    assert code == 0
+    assert len(calls) == (experiment in READS_MASS)
 
 
 # -------------------------------------------------------- config precedence

@@ -134,7 +134,7 @@ def test_q_ell_matches_brute_exactly(prime_table):
 
 @given(st.integers(10, 10 ** 4), st.integers(1, 200),
        st.sampled_from(MODES))
-@settings(max_examples=60, deadline=None,
+@settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_q_ell_brute_property(prime_table, X, ell, w):
     assert Q_ell(X, ell, w, prime_table) == Q_ell_brute(X, ell, w, prime_table)

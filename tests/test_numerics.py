@@ -83,7 +83,7 @@ def test_bisect_root_requires_bracket():
 
 
 @given(st.floats(-5.0, 5.0), st.floats(0.1, 4.0))
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, derandomize=True)
 def test_bisect_root_linear(shift, slope):
     root = bisect_root(lambda x: slope * (x - shift), shift - 7.0, shift + 7.0)
     assert abs(root - shift) <= max(BISECT_TOL, 1e-11)

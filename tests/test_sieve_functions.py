@@ -97,7 +97,7 @@ def test_tables_converge_to_one(tables):
 
 
 @given(st.floats(2.0, 11.9))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 def test_F_dominates_f(tables, s):
     assert eval_F(s, tables) >= eval_f(s, tables) - 1e-9
 
