@@ -243,13 +243,34 @@ def _experiments() -> dict[str, _Experiment]:
 
 
 EXPERIMENT_NAMES = tuple(_experiments())
+# the flags each value of _Experiment.reads is built from; any other name
+# is a flag's own dest
+_BUILT_FROM = {"w": ("weight", "epsilon0"), "params": ("alpha", "beta", "r"),
+               "table": ()}
+
+
+def _refuse_unread_flags(args: argparse.Namespace,
+                         actions: dict[str, argparse.Action]) -> None:
+    """Refuse a command-line flag that the chosen experiment does not read.
+    Run before the config file fills in: its keys stay exempt, so one file
+    can serve several experiments."""
+    name = args.experiment
+    spec = _experiments()[name]
+    if args.oracle and spec.oracle is None:
+        raise UsageError(f"--oracle: empirical {name} has no oracle")
+    read = {flag for key in spec.reads.split()
+            for flag in _BUILT_FROM.get(key, (key,))}
+    unread = [actions[dest].option_strings[0]
+              for dest, value in vars(args).items()
+              if value is not None and dest in actions and dest != "out"
+              and dest not in read]
+    if unread:
+        raise UsageError(f"empirical {name} does not read {', '.join(unread)}")
 
 
 def _cmd_empirical(args: argparse.Namespace) -> int:
     name, X = args.experiment, args.X
     spec = _experiments()[name]
-    if args.oracle and spec.oracle is None:
-        raise UsageError(f"--oracle: empirical {name} has no oracle")
     if spec.cap is not None:  # refuse X by name before the table is sieved
         experiments._check_window(X, spec.cap)
     make = {"w": lambda: SmoothWeight(args.weight, args.epsilon0),
@@ -423,9 +444,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    actions = parser._config_actions
     try:
+        if args.command == "empirical":
+            _refuse_unread_flags(args, actions)
         if args.config:
-            actions = parser._config_actions
             _apply_config(args, _load_config(args.config, actions), actions)
         _apply_defaults(args)
         return _DISPATCH[args.command](args)

@@ -59,35 +59,42 @@ def _check_window(X: int, cap: int = X_OVERFLOW_CAP) -> None:
 
 
 # Peaks per n beyond the prime table, by tracemalloc at X = 5e5, 1e6, 3e6
-# on a fresh table to 2X, so each includes that table's root_of_minus_one
-# column (4 B per prime, 0.6 B per n), built when the window is admitted.
+# on a fresh table to 2X, so each includes the column the window admits:
+# the table's root_of_minus_one (4 B per prime, 0.6 B per n) or, for the
+# counts, its smallest_prime_factor (4 B per entry, 8 B per n).
 # quadratic_window_stats: 22.6 B, at the ell = 5 level: rem and p_plus
 # (16 B), omega and big_omega (2 B), and that level's one int64 buffer of
-# both progressions (3.2 B).  WINDOW_BYTES_PER_N also covers the surveys
-# that build the window: dartyge_survey's own arrays peak at about 20 B
-# beside the memo, so it peaks in that strike pass too.
+# both progressions (3.2 B); almost_prime_survey and gpf_survey peak there
+# too.  dartyge_survey: 27.6 to 28.1 B, after the strike pass, where the
+# spf column it reads is built beside the memo (10 B) and its own arrays.
 # chebyshev_decomposition: 29.6 to 31.8 B, the most at 5e5, where the
 # strike pass's chunk temporaries, a fixed size, weigh most per n beside
 # lam_w, g_p and rem (24 B).  weighted_sieve_experiment: 29.1 to 30.2 B
 # under every weight, while g_vals is filled beside the memo, inner and
-# the masks.
+# the masks.  The five counts, each over the whole window (ell = 1 or
+# d = 1) under the plateau weight: A_d_count 24.3 to 25.8 B (n and its
+# weights beside the spf column), Q_ell_u 22.6 to 24.2 B, Q_ell and
+# phi_sifted 21.0 to 21.1 B, phi_sifted_coprime 16.3 to 17.8 B.
 WINDOW_BYTES_PER_N = 26
 _CHEBYSHEV_BYTES_PER_N = 33
 _WEIGHTED_BYTES_PER_N = 33
+_DARTYGE_BYTES_PER_N = 30
+_COUNT_BYTES_PER_N = 27
 
 
 class WindowMemoryError(ValueError):
     """Window whose arrays would not fit in the available memory."""
 
 
-def _admit_window(X: int, bytes_per_n: int, table: PrimeTable) -> None:
+def _admit_window(X: int, bytes_per_n: int, table: PrimeTable,
+                  column: str = "root_of_minus_one") -> None:
     """Refuse a window of bytes_per_n per n beyond the available memory,
-    then build the table's root column, if it is not built yet: after the
-    check's heap trim and before the window's own arrays, so the column
-    does not sit among them."""
+    then build the table's column that the window reads, if it is not
+    built yet: after the check's heap trim and before the window's own
+    arrays, so the column does not sit among them."""
     _check_memory(X * bytes_per_n, f"the window of X = {X}",
                   WindowMemoryError)
-    table.root_of_minus_one  # built on first access, then cached
+    getattr(table, column)  # built on first access, then cached
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +162,16 @@ def _weighted_sum(w: SmoothWeight, n: np.ndarray, X: int) -> float:
     """Sum of g(n/X) in a fixed (ascending n) order.
 
     Both the fast paths and the brute-force oracles funnel through this, so
-    agreeing n-sets give bit-identical floats.
+    agreeing n-sets give bit-identical floats.  The values are taken
+    LOG_CHUNK n at a time into one array, as the smooth weights'
+    temporaries are several per value; w.values is elementwise, so the
+    array, and its pairwise sum, are those of one call over all n.
     """
-    return float(np.sum(w.values(np.asarray(n, dtype=np.float64) / X)))
+    vals = np.empty(len(n), dtype=np.float64)
+    for a in range(0, len(n), LOG_CHUNK):
+        vals[a:a + LOG_CHUNK] = w.values(
+            np.asarray(n[a:a + LOG_CHUNK], dtype=np.float64) / X)
+    return float(np.sum(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +185,21 @@ def _Q_on_progressions(X: int, roots, ell: int, w: SmoothWeight,
     elementwise, so the sum is bitwise that of a mask over all window primes.
     """
     n = _progressions(X, roots, ell)
-    return _weighted_sum(w, n[table.smallest_prime_factor[n] == n], X)
+    n = n[table.smallest_prime_factor[n] == n]
+    return _weighted_sum(w, n, X)
+
+
+def _admit_count(X: int, table: PrimeTable) -> None:
+    """Refuse a count's window beyond the available memory, then build the
+    table's spf column, which every count reads (A_d_count through
+    roots_mod)."""
+    _admit_window(X, _COUNT_BYTES_PER_N, table, "smallest_prime_factor")
 
 
 def Q_ell(X: int, ell: int, w: SmoothWeight, table: PrimeTable) -> float:
     """Weighted count of primes p in (X, 2X] with p^2 + 1 = 0 (mod ell)."""
     _check_window(X, min(X_OVERFLOW_CAP, table.limit // 2))
+    _admit_count(X, table)
     return _Q_on_progressions(X, _ell_roots(ell, table), ell, w, table)
 
 
@@ -200,6 +223,8 @@ def _progressions(X: int, residues, modulus: int) -> np.ndarray:
     lo = X + 1
     parts = [np.arange(lo + (a - lo) % modulus, 2 * X + 1, modulus,
                        dtype=np.int64) for a in residues]
+    if len(parts) == 1:  # ascending already: no copy
+        return parts[0]
     out = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
     out.sort()
     return out
@@ -207,14 +232,24 @@ def _progressions(X: int, residues, modulus: int) -> np.ndarray:
 
 def Q_ell_u(X: int, ell: int, u: float, w: SmoothWeight,
             table: PrimeTable) -> float:
-    """Weighted count of n in (X, 2X] with ell | n^2 + 1 and spf(n) > n^(1/u)."""
+    """Weighted count of n in (X, 2X] with ell | n^2 + 1 and spf(n) > n^(1/u).
+
+    The int32 spf values compare exactly against the float64 limits, which
+    are taken LOG_CHUNK n at a time.
+    """
     _check_window(X, min(X_OVERFLOW_CAP, table.limit // 2))
     if not 1.0 <= u < math.inf:  # NaN fails too
         raise ValueError(f"u must be >= 1, got {u}")
+    _admit_count(X, table)
     n = _progressions(X, _ell_roots(ell, table), ell)
-    spf = table.smallest_prime_factor[n].astype(np.float64)
-    keep = spf > np.power(n.astype(np.float64), 1.0 / u)
-    return _weighted_sum(w, n[keep], X)
+    keep = np.empty(len(n), dtype=bool)
+    for a in range(0, len(n), LOG_CHUNK):
+        m = n[a:a + LOG_CHUNK]
+        np.greater(table.smallest_prime_factor[m],
+                   np.power(m.astype(np.float64), 1.0 / u),
+                   out=keep[a:a + LOG_CHUNK])
+    n = n[keep]
+    return _weighted_sum(w, n, X)
 
 
 def phi_sifted(X: int, z: float, d: int, a: int, w: SmoothWeight,
@@ -227,22 +262,33 @@ def phi_sifted(X: int, z: float, d: int, a: int, w: SmoothWeight,
         raise ValueError(f"a must be coprime to d = {d}, got {a}")
     if not 2 <= z < math.inf:
         raise ValueError(f"z must be >= 2, got {z}")
+    _admit_count(X, table)
     n = _progressions(X, [a % d], d)
-    keep = table.smallest_prime_factor[n] > z
-    return _weighted_sum(w, n[keep], X)
+    n = n[table.smallest_prime_factor[n] > z]
+    return _weighted_sum(w, n, X)
 
 
 def phi_sifted_coprime(X: int, z: float, d: int, w: SmoothWeight,
                        table: PrimeTable) -> float:
-    """Weighted count of z-rough n in (X, 2X] coprime to d."""
+    """Weighted count of z-rough n in (X, 2X] coprime to d.
+
+    The window's spf values are a view of the table; gcd(n, d) is taken
+    LOG_CHUNK n at a time.
+    """
     _check_window(X, min(X_OVERFLOW_CAP, table.limit // 2))
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if not 2 <= z < math.inf:
         raise ValueError(f"z must be >= 2, got {z}")
-    n = np.arange(X + 1, 2 * X + 1, dtype=np.int64)
-    keep = (table.smallest_prime_factor[n] > z) & (np.gcd(n, d) == 1)
-    return _weighted_sum(w, n[keep], X)
+    _admit_count(X, table)
+    keep = table.smallest_prime_factor[X + 1:2 * X + 1] > z
+    for a in range(0, X, LOG_CHUNK):
+        n = np.arange(X + 1 + a, X + 1 + min(a + LOG_CHUNK, X), dtype=np.int64)
+        keep[a:a + LOG_CHUNK] &= np.gcd(n, d) == 1
+    n = np.flatnonzero(keep)
+    del keep
+    n += X + 1
+    return _weighted_sum(w, n, X)
 
 
 def A_d_count(X: int, ell: int, d: int, w: SmoothWeight,
@@ -255,6 +301,7 @@ def A_d_count(X: int, ell: int, d: int, w: SmoothWeight,
     _check_window(X)
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
+    _admit_count(X, table)
     roots = _ell_roots(ell, table)
     if math.gcd(d, ell) > 1:
         return 0.0
@@ -1078,6 +1125,8 @@ def dartyge_survey(X: int, u: float, table: PrimeTable) -> ExperimentReport:
     """Distribution of log P+(n^2+1)/log n over n with spf(n) > n^(1/u)."""
     if not 1.0 < u < math.inf:
         raise ValueError(f"u must exceed 1, got {u}")
+    _check_window(X, min(X_FACTOR_CAP, table.limit // 2))
+    _admit_window(X, _DARTYGE_BYTES_PER_N, table)
     stats = quadratic_window_stats(X, table)
     qual = _u_rough(X, table, u)
     n_q = X + 1 + np.flatnonzero(qual)

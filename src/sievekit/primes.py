@@ -13,10 +13,12 @@ import numpy as np
 MAX_SIEVE_LIMIT = 10 ** 9
 MAX_ROOTS_MODULUS = 10 ** 12
 MAX_INT64_SQUARE_ROOT = math.isqrt(2 ** 63 - 1)  # p^2 < 2^63 up to here
-# Bound on the peak of sieve_primes per entry; the int32 spf table, a bool
-# mask of the odd entries and the int64 prime list, twice while it is
-# formed, measured 5.19 B at limit 2e6 and 5.02 B at 2e7 (tracemalloc).
-SIEVE_BYTES_PER_ENTRY = 6
+# Bounds on the peaks per entry, by tracemalloc: sieve_primes holds one
+# bool per odd entry and the int64 primes, formed in place, and measured
+# 1.10 B at limit 2e6 and 1.01 B at 2e7; the smallest-prime-factor column is
+# the int32 array alone, 4.02 B at 2e6 and 4.00 B at 2e7.
+SIEVE_BYTES_PER_ENTRY = 1.2
+SPF_BYTES_PER_ENTRY = 4.5
 ROOT_BLOCK = 1 << 14  # primes per _pow_mod batch (root column, jacobi_table)
 
 # Witness set is deterministic for every n < 3.3e24, far past the 2^63 input cap.
@@ -25,18 +27,42 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """Primes up to limit plus a smallest-prime-factor array indexed 0..limit.
+    """The primes up to limit, ascending, as int64.
 
-    root_of_minus_one is a column beside primes, built on first use and
-    kept for the table's lifetime: the window strike passes read the roots
-    of -1 mod ell from it instead of re-deriving them for every window.
+    Two columns are built on first use and kept for the table's lifetime:
+    root_of_minus_one beside primes, which the window strike passes read
+    instead of re-deriving the roots of -1 mod ell for every window, and
+    smallest_prime_factor over 0..limit, which only the code that factors
+    n from the table reads.  A table that is never asked for spf(n) never
+    holds its 4 B per entry.
     """
     limit: int
     primes: np.ndarray
-    smallest_prime_factor: np.ndarray
     # experiments.quadratic_window_stats keeps its last window here
     _window: dict = field(default_factory=dict, init=False, compare=False,
                           repr=False)
+
+    @functools.cached_property
+    def smallest_prime_factor(self) -> np.ndarray:
+        """Writable int32 array of spf(n) for n in 0..limit, with spf(0) = 0
+        and spf(1) = 1, 4 B per entry.
+
+        Built once, behind its own memory check: 2 on the even entries,
+        then each odd prime p <= sqrt(limit), largest first, writes its odd
+        multiples from p^2, so the smallest odd prime factor of each odd
+        entry writes last; the primes take themselves.
+        """
+        _check_memory((self.limit + 1) * SPF_BYTES_PER_ENTRY,
+                      f"the smallest-prime-factor column to {self.limit}")
+        spf = np.zeros(self.limit + 1, dtype=np.int32)
+        spf[4::2] = 2
+        root = math.isqrt(self.limit)
+        small = self.primes[1:np.searchsorted(self.primes, root, side="right")]
+        for p in reversed(small.tolist()):
+            spf[p * p::2 * p] = p
+        spf[self.primes] = self.primes
+        spf[1] = 1
+        return spf
 
     @functools.cached_property
     def root_of_minus_one(self) -> np.ndarray:
@@ -180,7 +206,7 @@ def _mem_available_bytes() -> int | None:
     return max(min(found), 0) if found else None
 
 
-def _check_memory(need: int, what: str, error=ValueError) -> None:
+def _check_memory(need: float, what: str, error=ValueError) -> None:
     """Raise error when what needs more than the process may still use:
     the least of MemAvailable and its rlimit and cgroup headroom.  The
     check is skipped where none of them can be read.
@@ -202,33 +228,31 @@ def _check_memory(need: int, what: str, error=ValueError) -> None:
 
 
 def sieve_primes(limit: int) -> PrimeTable:
-    """Sieve of Eratosthenes with a smallest-prime-factor side table."""
+    """Sieve of Eratosthenes over the odd entries alone, to a table of the
+    primes up to limit; the smallest-prime-factor column is left to its
+    first read.
+
+    One bool per odd entry: entry i stands for 2i + 1, except entry 0,
+    which stands for 2, as 1 is not prime.  Each odd prime p <= sqrt(limit)
+    clears its odd multiples from p^2, which lie p entries apart from entry
+    p^2 // 2.  The primes ascend, so entry p // 2 is final when p is
+    reached.
+    """
     if not 2 <= limit <= MAX_SIEVE_LIMIT:
         raise ValueError(f"limit must be in [2, {MAX_SIEVE_LIMIT}], got {limit}")
     _check_memory((limit + 1) * SIEVE_BYTES_PER_ENTRY,
                   f"a prime table to {limit}")
-    root = math.isqrt(limit)
-    small = bytearray([1]) * (root + 1)  # primality up to sqrt(limit)
-    for p in range(2, math.isqrt(root) + 1):
-        if small[p]:
-            small[p * p::p] = bytes(len(range(p * p, root + 1, p)))
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    spf[4::2] = 2
-    # odd multiples only, descending, so the smallest odd prime factor of
-    # each odd entry writes last
-    for p in range(root, 2, -1):
-        if small[p]:
-            spf[p * p::2 * p] = p
-    # the unmarked odd entries above 1 are the odd primes
-    odd = np.flatnonzero(spf[3::2] == 0)
-    primes = np.empty(len(odd) + 1, dtype=np.int64)
+    prime = np.ones((limit + 1) // 2, dtype=bool)
+    for i in range(1, (math.isqrt(limit) - 1) // 2 + 1):
+        if prime[i]:
+            p = 2 * i + 1
+            prime[p * p // 2::p] = False
+    primes = np.flatnonzero(prime)
+    del prime
+    primes *= 2
+    primes += 1
     primes[0] = 2
-    np.multiply(odd, 2, out=primes[1:])
-    primes[1:] += 3
-    del odd
-    spf[primes] = primes
-    spf[1] = 1
-    return PrimeTable(limit=limit, primes=primes, smallest_prime_factor=spf)
+    return PrimeTable(limit=limit, primes=primes)
 
 
 def is_prime(n: int) -> bool:
@@ -289,7 +313,11 @@ _SMALL_TABLE = sieve_primes(10 ** 5)
 
 
 def factorize(n: int, table: PrimeTable | None = None) -> Factorization:
-    """Full factorization for 1 <= n < 2^63."""
+    """Full factorization for 1 <= n < 2^63.
+
+    n within the table is read off its spf column, which the first such
+    call builds; a larger n is trial-divided and split by Brent's method.
+    """
     if not 1 <= n < 2 ** 63:
         raise ValueError(f"n must be in [1, 2^63), got {n}")
     src = n

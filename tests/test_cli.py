@@ -1,5 +1,6 @@
 """CLI surface: exit codes, determinism, config precedence, output shapes."""
 
+import argparse
 import contextlib
 import inspect
 import io
@@ -228,9 +229,9 @@ def test_readme_table_is_within_row_cap(capsys):
 def test_prime_table_beyond_memory_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(primes, "_mem_available_bytes", lambda: 2 ** 20)
     monkeypatch.setattr(primes, "np", None)
-    code, out, err = run_cli(capsys, "empirical", "q-ell", "--X", "200000")
+    code, out, err = run_cli(capsys, "empirical", "q-ell", "--X", "1000000")
     assert code == 1 and out == ""
-    assert err == ("error: a prime table to 400000 needs about 2 MiB, "
+    assert err == ("error: a prime table to 2000000 needs about 2 MiB, "
                    "more than the 1 MiB available\n")
 
 
@@ -413,17 +414,31 @@ def test_each_experiment_passes_its_values_by_parameter_name(experiment):
     assert ("w" in names) == (experiment in READS_WEIGHT)
 
 
+def _window(experiment):
+    """SMALL_WINDOW where the experiment reads X, else no flag."""
+    return SMALL_WINDOW if cli._experiments()[experiment].cap else ()
+
+
 @pytest.mark.parametrize("experiment", cli.EXPERIMENT_NAMES)
-def test_epsilon0_is_checked_only_where_the_weight_is_read(capsys,
+def test_epsilon0_is_checked_only_where_the_weight_is_read(capsys, tmp_path,
                                                          experiment):
-    argv = ("empirical", experiment, *SMALL_WINDOW)
+    # a config file may set epsilon0 for any experiment; the flag is a
+    # usage error where the weight is not read
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epsilon0 = 0.7\n")
+    argv = ("empirical", experiment, *_window(experiment))
     code, out, err = run_cli(capsys, *argv, "--epsilon0", "0.7")
+    by_config = run_cli(capsys, *argv, "--config", str(cfg))
     if experiment in READS_WEIGHT:
         assert code == 1 and out == ""
         assert err == "error: epsilon0 must be in (0, 1/2), got 0.7\n"
+        assert by_config == (code, out, err)
     else:
-        assert (code, out, err) == run_cli(capsys, *argv)
-        assert code == 0
+        assert code == 2 and out == ""
+        assert err == (f"usage error: empirical {experiment} does not read "
+                       "--epsilon0\n")
+        assert by_config == run_cli(capsys, *argv)
+        assert by_config[0] == 0
 
 
 @pytest.mark.parametrize("experiment", cli.EXPERIMENT_NAMES)
@@ -441,15 +456,65 @@ def test_oracle_is_a_usage_error_off_q_ell(capsys, experiment):
 
 @pytest.mark.parametrize("experiment", cli.EXPERIMENT_NAMES)
 def test_weight_mass_is_integrated_only_where_it_is_read(capsys, monkeypatch,
+                                                         tmp_path,
                                                          experiment):
+    # the weight comes from a config file, which every experiment accepts
     calls = []
     real = experiments.integrate_checked
     monkeypatch.setattr(experiments, "integrate_checked",
                         lambda *a, **kw: calls.append(a) or real(*a, **kw))
-    code, _, _ = run_cli(capsys, "empirical", experiment, *SMALL_WINDOW,
-                         "--weight", "plateau")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("weight = plateau\n")
+    code, _, _ = run_cli(capsys, "empirical", experiment,
+                         *_window(experiment), "--config", str(cfg))
     assert code == 0
     assert len(calls) == (experiment in READS_MASS)
+
+
+# every value flag of `empirical`, by dest, with a value its type accepts
+EMPIRICAL_FLAGS = {
+    **{dest: "3" for dest in ("X", "ell", "k", "d", "a", "L", "p", "q", "m",
+                              "r", "max_pq")},
+    **{dest: "0.25" for dest in ("u", "z", "theta", "vartheta", "alpha",
+                                 "beta", "epsilon0")},
+    "weight": "sharp"}
+# the flags behind the weight and the weighted sieve's parameters
+BUILT_FROM = {"w": {"weight", "epsilon0"}, "params": {"alpha", "beta", "r"}}
+
+
+def test_empirical_flag_list_is_the_parsers():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    emp = sub.choices["empirical"]
+    dests = {a.dest for a in emp._actions if a.option_strings
+             and a.default is None}
+    assert dests == set(EMPIRICAL_FLAGS)
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENT_NAMES)
+def test_unread_flag_is_a_usage_error(capsys, tmp_path, experiment):
+    # each flag the experiment does not read exits 2, naming the flag and
+    # the experiment, before anything is built; the same key in a config
+    # file is accepted and ignored
+    reads = cli._experiments()[experiment].reads.split()
+    read = set().union(*(BUILT_FROM.get(key, {key}) for key in reads))
+    unread = [dest for dest in EMPIRICAL_FLAGS if dest not in read]
+    assert unread
+    for dest in unread:
+        flag = "--" + dest.replace("_", "-")
+        code, out, err = run_cli(capsys, "empirical", experiment,
+                                 *_window(experiment), flag,
+                                 EMPIRICAL_FLAGS[dest])
+        assert (code, out) == (2, ""), flag
+        assert err == (f"usage error: empirical {experiment} does not read "
+                       f"{flag}\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{dest} = {EMPIRICAL_FLAGS[dest]}\n"
+                           for dest in unread))
+    argv = ("empirical", experiment, *_window(experiment))
+    assert run_cli(capsys, *argv, "--config", str(cfg)) == \
+        run_cli(capsys, *argv)
 
 
 # -------------------------------------------------------- config precedence

@@ -427,7 +427,7 @@ def test_window_byte_constants_bound_the_measured_peaks():
                                  delta=min(solve_delta(), 0.622), r=4)
     runs = [(experiments.WINDOW_BYTES_PER_N,
              lambda t: quadratic_window_stats(X, t)),
-            (experiments.WINDOW_BYTES_PER_N,
+            (experiments._DARTYGE_BYTES_PER_N,
              lambda t: dartyge_survey(X, 11.2, t)),
             (experiments._CHEBYSHEV_BYTES_PER_N,
              lambda t: chebyshev_decomposition(X, 0.847, SHARP, t)),
@@ -445,6 +445,99 @@ def test_window_byte_constants_bound_the_measured_peaks():
             tracemalloc.stop()
         del table
         assert peak <= constant <= 1.25 * peak, (constant, peak)
+
+
+def test_count_byte_constant_bounds_the_measured_peaks():
+    # one estimate covers the five counts: each one's peak at its widest
+    # progression (ell = 1 or d = 1, the whole window) under its heaviest
+    # weight, on a table of its own, so it includes the spf column the
+    # count builds (8 B per n), lies below it, and the largest lies within
+    # a factor 1.25 of it
+    X = 10 ** 6
+    runs = {"q-ell": lambda t: Q_ell(X, 1, PLATEAU, t),
+            "q-ell-u": lambda t: Q_ell_u(X, 1, 11.2, PLATEAU, t),
+            "phi": lambda t: phi_sifted(X, 2.0, 1, 1, PLATEAU, t),
+            "phi-coprime": lambda t: phi_sifted_coprime(X, 2.0, 1, PLATEAU,
+                                                        t),
+            "a-d": lambda t: A_d_count(X, 1, 1, PLATEAU, t)}
+    constant = experiments._COUNT_BYTES_PER_N
+    peaks = {}
+    for name, run in runs.items():
+        table = sieve_primes(2 * X)
+        tracemalloc.start()
+        try:
+            run(table)
+            peaks[name] = tracemalloc.get_traced_memory()[1] / X
+        finally:
+            tracemalloc.stop()
+        del table
+        assert peaks[name] <= constant, (name, constant, peaks[name])
+    assert constant <= 1.25 * max(peaks.values()), (constant, peaks)
+
+
+@pytest.mark.parametrize("count", [
+    lambda t: Q_ell(4 * 10 ** 6, 5, SHARP, t),
+    lambda t: Q_ell_u(4 * 10 ** 6, 5, 11.2, SHARP, t),
+    lambda t: phi_sifted(4 * 10 ** 6, 10.0, 1, 1, SHARP, t),
+    lambda t: phi_sifted_coprime(4 * 10 ** 6, 10.0, 1, SHARP, t),
+    lambda t: A_d_count(4 * 10 ** 6, 5, 1, SHARP, t)],
+    ids=["q-ell", "q-ell-u", "phi", "phi-coprime", "a-d"])
+def test_counts_refuse_a_window_beyond_available_memory(monkeypatch, count):
+    # the count's estimate decides before its spf column or any window
+    # array: numpy is never reached
+    monkeypatch.setattr(primes, "_mem_available_bytes",
+                        lambda: 50 * 2 ** 20)
+    monkeypatch.setattr(experiments, "np", None)
+    monkeypatch.setattr(primes, "np", None)
+    table = types.SimpleNamespace(limit=8 * 10 ** 6)
+    with pytest.raises(experiments.WindowMemoryError,
+                       match=r"^the window of X = 4000000 needs about 103 "
+                             r"MiB, more than the 50 MiB available$"):
+        count(table)
+
+
+def _spf_builds(monkeypatch):
+    """The list of spf column builds, appended to as each one starts."""
+    builds = []
+    check = primes._check_memory
+
+    def record(need, what, *args):
+        if what.startswith("the smallest-prime-factor column"):
+            builds.append(what)
+        return check(need, what, *args)
+    monkeypatch.setattr(primes, "_check_memory", record)
+    return builds
+
+
+SPF_READERS = {
+    "dartyge": lambda X, t: dartyge_survey(X, 11.2, t),
+    "bt": lambda X, t: bt_exception_count(X, 0.55, SHARP, t),
+    "q-ell": lambda X, t: Q_ell(X, 5, SHARP, t),
+}
+SPF_FREE = {
+    "chebyshev": lambda X, t: chebyshev_decomposition(X, 0.847, SHARP, t),
+    "weighted": lambda X, t: weighted_sieve_experiment(
+        X, WeightedSieveParams(alpha=1.0 / 12.0, beta=0.622,
+                               delta=min(solve_delta(), 0.622), r=4),
+        SHARP, t),
+    "almost-prime": lambda X, t: almost_prime_survey(X, 4, t),
+    "gpf": lambda X, t: gpf_survey(X, 0.847, t),
+}
+
+
+@pytest.mark.parametrize("name", [*SPF_READERS, *SPF_FREE])
+def test_spf_column_is_built_only_where_n_is_factored(monkeypatch, name):
+    # on a fresh table the spf column is built on its first read, once,
+    # and never by the experiments that read only the primes
+    builds = _spf_builds(monkeypatch)
+    X = 20001
+    table = sieve_primes(2 * X)
+    run = {**SPF_READERS, **SPF_FREE}[name]
+    first = run(X, table)
+    assert run(X, table) == first
+    reads = name in SPF_READERS
+    assert len(builds) == reads
+    assert ("smallest_prime_factor" in vars(table)) == reads
 
 
 def test_window_memory_check_is_skipped_when_unreadable(monkeypatch):

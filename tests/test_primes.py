@@ -396,23 +396,23 @@ def test_sieve_refuses_a_table_beyond_available_memory(monkeypatch):
     # the estimate alone decides: numpy is never reached, nothing allocated
     monkeypatch.setattr(primes, "_mem_available_bytes", lambda: 50 * 2 ** 20)
     monkeypatch.setattr(primes, "np", None)
-    with pytest.raises(ValueError, match=r"^a prime table to 10000000 needs "
+    with pytest.raises(ValueError, match=r"^a prime table to 50000000 needs "
                        r"about 57 MiB, more than the 50 MiB available$"):
-        sieve_primes(10 ** 7)
+        sieve_primes(5 * 10 ** 7)
 
 
 def test_sieve_byte_constant_bounds_the_measured_peak():
     # measured <= constant <= 1.25 measured, so a change that moves the peak
     # must move the constant too
-    limit = 2 * 10 ** 6
-    tracemalloc.start()
-    try:
-        sieve_primes(limit)
-        peak = tracemalloc.get_traced_memory()[1] / (limit + 1)
-    finally:
-        tracemalloc.stop()
-    constant = primes.SIEVE_BYTES_PER_ENTRY
-    assert peak <= constant <= 1.25 * peak, (constant, peak)
+    for limit in (2 * 10 ** 6, 2 * 10 ** 7):
+        tracemalloc.start()
+        try:
+            sieve_primes(limit)
+            peak = tracemalloc.get_traced_memory()[1] / (limit + 1)
+        finally:
+            tracemalloc.stop()
+        constant = primes.SIEVE_BYTES_PER_ENTRY
+        assert peak <= constant <= 1.25 * peak, (limit, constant, peak)
 
 
 def test_sieve_skips_the_memory_check_when_unreadable(monkeypatch):
@@ -473,9 +473,10 @@ def test_rlimit_headroom_refuses_a_table_by_name(monkeypatch):
     monkeypatch.setattr(primes, "_read_text", files.get)
     assert primes._mem_available_bytes() == 512 * MiB
     monkeypatch.setattr(primes, "np", None)
-    with pytest.raises(ValueError, match=r"^a prime table to 200000000 needs "
-                       r"about 1144 MiB, more than the 512 MiB available$"):
-        sieve_primes(2 * 10 ** 8)
+    with pytest.raises(ValueError, match=r"^a prime table to 1000000000 "
+                       r"needs about 1144 MiB, more than the 512 MiB "
+                       r"available$"):
+        sieve_primes(10 ** 9)
 
 
 def test_rlimit_data_counts_against_vmdata(monkeypatch):
@@ -519,13 +520,49 @@ def _masked_fill_sieve(limit):
     return primes, spf
 
 
-# squares of primes and their neighbours, where the sqrt(limit) bound moves
-@pytest.mark.parametrize("limit", [2, 3, 4, 24, 25, 26, 48, 49, 50, 10201,
-                                   10 ** 5, 1_000_003, 2_010_000])
+# squares of odd primes and their neighbours, at both parities, where the
+# sqrt(limit) bound moves and the first multiple p^2 // 2 is struck
+SQUARE_LIMITS = sorted(
+    {p * p + d for p in (3, 5, 7, 11) for d in (-1, 0, 1, 2)}
+    | {2, 3, 4, 10201, 10 ** 5, 1_000_003, 2_010_000})
+
+
+@pytest.mark.parametrize("limit", SQUARE_LIMITS)
 def test_sieve_matches_the_masked_fill_bitwise(limit):
     want_primes, want_spf = _masked_fill_sieve(limit)
     table = sieve_primes(limit)
+    assert "smallest_prime_factor" not in vars(table)
     assert table.primes.dtype == np.int64
-    assert table.smallest_prime_factor.dtype == np.int32
     assert np.array_equal(table.primes, want_primes)
-    assert np.array_equal(table.smallest_prime_factor, want_spf)
+    spf = table.smallest_prime_factor
+    assert spf.dtype == np.int32 and spf.flags.writeable
+    assert np.array_equal(spf, want_spf)
+    assert table.smallest_prime_factor is spf  # built once, then cached
+
+
+def test_spf_byte_constant_bounds_the_measured_peak():
+    # measured <= constant <= 1.25 measured at both limits, as for the sieve
+    for limit in (2 * 10 ** 6, 2 * 10 ** 7):
+        table = sieve_primes(limit)
+        tracemalloc.start()
+        try:
+            table.smallest_prime_factor
+            peak = tracemalloc.get_traced_memory()[1] / (limit + 1)
+        finally:
+            tracemalloc.stop()
+        del table
+        constant = primes.SPF_BYTES_PER_ENTRY
+        assert peak <= constant <= 1.25 * peak, (limit, constant, peak)
+
+
+def test_spf_column_refuses_beyond_available_memory(monkeypatch):
+    # the primes are sieved, and the column is refused by its own estimate
+    # before numpy allocates it
+    table = sieve_primes(10 ** 6)
+    monkeypatch.setattr(primes, "_mem_available_bytes", lambda: 2 ** 20)
+    monkeypatch.setattr(primes, "np", None)
+    with pytest.raises(ValueError, match=r"^the smallest-prime-factor column "
+                       r"to 1000000 needs about 4 MiB, more than the 1 MiB "
+                       r"available$"):
+        table.smallest_prime_factor
+    assert "smallest_prime_factor" not in vars(table)

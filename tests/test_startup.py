@@ -110,15 +110,17 @@ def test_main_with_argv_leaves_the_gc_state_alone():
 
 
 def test_real_address_space_limit_refuses_up_front():
-    # under 2 GiB of address space the table to 10^9 (about 5.6 GiB) is
-    # refused by name before numpy allocates it, not by a MemoryError
+    # under 2 GiB of address space the prime table to 2X is sieved (1.2 B
+    # per entry), and the count's window, spf column included (27 B per n),
+    # is refused by name before numpy allocates it, not by a MemoryError
     limit = 2 ** 31
-    proc = subprocess.run(
-        [sys.executable, "-m", "sievekit.cli", "empirical", "phi", "--X",
-         "500000000"], env=fresh_env(None), capture_output=True, text=True,
-        timeout=120, preexec_fn=lambda: resource.setrlimit(
-            resource.RLIMIT_AS, (limit, limit)))
-    assert proc.returncode == 1, proc.stderr
-    assert re.fullmatch(r"error: a prime table to 1000000000 needs about "
-                        r"5722 MiB, more than the \d+ MiB available\n",
-                        proc.stderr), proc.stderr
+    for X, need in [(10 ** 8, 2575), (5 * 10 ** 8, 12875)]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sievekit.cli", "empirical", "phi", "--X",
+             str(X)], env=fresh_env(None), capture_output=True, text=True,
+            timeout=120, preexec_fn=lambda: resource.setrlimit(
+                resource.RLIMIT_AS, (limit, limit)))
+        assert proc.returncode == 1, proc.stderr
+        assert re.fullmatch(rf"error: the window of X = {X} needs about "
+                            rf"{need} MiB, more than the \d+ MiB "
+                            rf"available\n", proc.stderr), proc.stderr
