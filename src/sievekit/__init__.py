@@ -8,6 +8,7 @@ all on top of a vectorized prime toolkit (primes).
 """
 
 import os
+import types
 
 # sievekit makes no BLAS call, so numpy need not start an OpenBLAS thread pool.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -37,23 +38,7 @@ from .theorems import (HypothesisViolationError, InfeasibilityError,
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "A_d_count", "BuchstabTable", "CongruenceRootSet",
-    "ExperimentReport", "Factorization",
-    "HypothesisViolationError", "InfeasibilityError", "PrimeTable", "Q_ell",
-    "Q_ell_brute", "Q_ell_u", "QuadraticWindowStats", "SieveFunctionTable",
-    "SHARP", "Sigma2DomainError", "SmoothWeight", "TheoremReport",
-    "WeightedSieveParams", "almost_prime_survey", "bt_exception_count",
-    "buchstab_w", "build_buchstab_table", "build_sieve_tables",
-    "bv_error_average", "c1_integral", "c2_integral",
-    "chebyshev_decomposition", "compute_C", "dartyge_margin",
-    "dartyge_survey", "eval_F", "eval_f", "factorize", "find_max_vartheta",
-    "gamma_theta", "gpf_survey", "is_prime", "jacobi", "jacobi_table",
-    "markdown_summary", "multiplicative_suite",
-    "optimize_beta", "optimize_gamma12", "phi_sifted", "phi_sifted_coprime",
-    "quadratic_window_stats", "rho", "roots_mod",
-    "selberg_sigma2", "sieve_primes", "solve_delta", "sqrt_minus_one",
-    "square_sieve_count", "theorem2_integral", "to_json", "weight_eval",
-    "weighted_sieve_experiment", "weil_exhaustive", "weil_sum_check",
-    "wolke_error_average", "x_flat",
-]
+# the public names bound above, modules (os and the submodules) excepted
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, types.ModuleType))

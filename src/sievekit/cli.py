@@ -19,13 +19,11 @@ from typing import Callable, NamedTuple
 
 from . import experiments, theorems
 from .experiments import SmoothWeight
-from .primes import MAX_SIEVE_LIMIT, sieve_primes
+from .primes import MAX_SIEVE_LIMIT, _admit_table, sieve_primes
 from .reports import ExperimentReport, markdown_summary, to_json
 from .sieve_functions import (DEFAULT_STEP, buchstab_w, build_buchstab_table,
                               build_sieve_tables, eval_F, eval_f,
                               selberg_sigma2)
-
-FUNCTION_NAMES = ("F", "f", "w", "sigma2", "gamma_theta")
 
 DEFAULTS = {
     "X": 10000, "ell": 5, "u": 11.2, "theta0": 0.9926, "vartheta": 0.847,
@@ -143,6 +141,7 @@ def _function_evaluator(name: str, step: float):
 
 _TABLE_RANGES = {"F": (1.0, 12.0), "f": (0.5, 12.0), "w": (1.0, 12.0),
                  "sigma2": (0.1, 2.0), "gamma_theta": (0.5, 0.94)}
+FUNCTION_NAMES = tuple(_TABLE_RANGES)
 # A table row costs a few microseconds, so this cap serves in seconds.
 MAX_TABLE_ROWS = 10 ** 6
 
@@ -273,9 +272,15 @@ def _cmd_empirical(args: argparse.Namespace) -> int:
     spec = _experiments()[name]
     if spec.cap is not None:  # refuse X by name before the table is sieved
         experiments._check_window(X, spec.cap)
+
+    def table():
+        limit = max(2 * X, 10 ** 5)
+        if spec.count is not None:  # refuse the count's window before sieving
+            _admit_table(limit)
+            experiments._check_window_memory(X, experiments._COUNT_BYTES_PER_N)
+        return sieve_primes(limit)
     make = {"w": lambda: SmoothWeight(args.weight, args.epsilon0),
-            "params": lambda: _weighted_params(args),
-            "table": lambda: sieve_primes(max(2 * X, 10 ** 5))}
+            "params": lambda: _weighted_params(args), "table": table}
     reads = spec.reads.split()
     made = {key: build() for key, build in make.items() if key in reads}
     values = [made[key] if key in made else getattr(args, key)
@@ -455,7 +460,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, OSError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

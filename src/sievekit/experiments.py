@@ -61,7 +61,8 @@ def _check_window(X: int, cap: int = X_OVERFLOW_CAP) -> None:
 # Peaks per n beyond the prime table, by tracemalloc at X = 5e5, 1e6, 3e6
 # on a fresh table to 2X, so each includes the column the window admits:
 # the table's root_of_minus_one (4 B per prime, 0.6 B per n) or, for the
-# counts, its smallest_prime_factor (4 B per entry, 8 B per n).
+# counts but A_d_count, its smallest_prime_factor (4 B per entry, 8 B per
+# n).
 # quadratic_window_stats: 22.6 B, at the ell = 5 level: rem and p_plus
 # (16 B), omega and big_omega (2 B), and that level's one int64 buffer of
 # both progressions (3.2 B); almost_prime_survey and gpf_survey peak there
@@ -72,28 +73,42 @@ def _check_window(X: int, cap: int = X_OVERFLOW_CAP) -> None:
 # lam_w, g_p and rem (24 B).  weighted_sieve_experiment: 29.1 to 30.2 B
 # under every weight, while g_vals is filled beside the memo, inner and
 # the masks.  The five counts, each over the whole window (ell = 1 or
-# d = 1) under the plateau weight: A_d_count 24.3 to 25.8 B (n and its
-# weights beside the spf column), Q_ell_u 22.6 to 24.2 B, Q_ell and
-# phi_sifted 21.0 to 21.1 B, phi_sifted_coprime 16.3 to 17.8 B.
+# d = 1) under the plateau weight, each in a fresh process: Q_ell_u 22.8
+# to 25.0 B, Q_ell 21.2 to 21.9 B (both with the 0.4 MB spf column of
+# primes._SMALL_TABLE, which factors ell <= 1e5), phi_sifted 21.0 to
+# 21.1 B, A_d_count 16.4 to 18.6 B (n and its weights, the small column
+# too, and none of the table's: it reads the table's spf only through
+# roots_mod for an ell > 1e5, which the count's estimate still covers),
+# phi_sifted_coprime 16.3 to 17.8 B.
 WINDOW_BYTES_PER_N = 26
 _CHEBYSHEV_BYTES_PER_N = 33
 _WEIGHTED_BYTES_PER_N = 33
 _DARTYGE_BYTES_PER_N = 30
 _COUNT_BYTES_PER_N = 27
+_SPF = "smallest_prime_factor"  # the table column every count but A_d reads
 
 
 class WindowMemoryError(ValueError):
     """Window whose arrays would not fit in the available memory."""
 
 
-def _admit_window(X: int, bytes_per_n: int, table: PrimeTable,
-                  column: str = "root_of_minus_one") -> None:
-    """Refuse a window of bytes_per_n per n beyond the available memory,
-    then build the table's column that the window reads, if it is not
-    built yet: after the check's heap trim and before the window's own
-    arrays, so the column does not sit among them."""
+def _check_window_memory(X: int, bytes_per_n: int) -> None:
+    """Refuse a window of bytes_per_n per n beyond the available memory."""
     _check_memory(X * bytes_per_n, f"the window of X = {X}",
                   WindowMemoryError)
+
+
+def _admit_window(X: int, bytes_per_n: int, table: PrimeTable,
+                  column: str = "root_of_minus_one",
+                  cap: int = X_FACTOR_CAP) -> None:
+    """The one guard of a window read from table: refuse X outside
+    [1, cap] or with (X, 2X] beyond the table, then the window's
+    bytes_per_n per n beyond the available memory, then build the table's
+    column that the window reads, if it is not built yet: after the
+    check's heap trim and before the window's own arrays, so the column
+    does not sit among them."""
+    _check_window(X, min(cap, table.limit // 2))
+    _check_window_memory(X, bytes_per_n)
     getattr(table, column)  # built on first access, then cached
 
 
@@ -189,17 +204,9 @@ def _Q_on_progressions(X: int, roots, ell: int, w: SmoothWeight,
     return _weighted_sum(w, n, X)
 
 
-def _admit_count(X: int, table: PrimeTable) -> None:
-    """Refuse a count's window beyond the available memory, then build the
-    table's spf column, which every count reads (A_d_count through
-    roots_mod)."""
-    _admit_window(X, _COUNT_BYTES_PER_N, table, "smallest_prime_factor")
-
-
 def Q_ell(X: int, ell: int, w: SmoothWeight, table: PrimeTable) -> float:
     """Weighted count of primes p in (X, 2X] with p^2 + 1 = 0 (mod ell)."""
-    _check_window(X, min(X_OVERFLOW_CAP, table.limit // 2))
-    _admit_count(X, table)
+    _admit_window(X, _COUNT_BYTES_PER_N, table, _SPF, X_OVERFLOW_CAP)
     return _Q_on_progressions(X, _ell_roots(ell, table), ell, w, table)
 
 
@@ -237,10 +244,9 @@ def Q_ell_u(X: int, ell: int, u: float, w: SmoothWeight,
     The int32 spf values compare exactly against the float64 limits, which
     are taken LOG_CHUNK n at a time.
     """
-    _check_window(X, min(X_OVERFLOW_CAP, table.limit // 2))
     if not 1.0 <= u < math.inf:  # NaN fails too
         raise ValueError(f"u must be >= 1, got {u}")
-    _admit_count(X, table)
+    _admit_window(X, _COUNT_BYTES_PER_N, table, _SPF, X_OVERFLOW_CAP)
     n = _progressions(X, _ell_roots(ell, table), ell)
     keep = np.empty(len(n), dtype=bool)
     for a in range(0, len(n), LOG_CHUNK):
@@ -255,14 +261,13 @@ def Q_ell_u(X: int, ell: int, u: float, w: SmoothWeight,
 def phi_sifted(X: int, z: float, d: int, a: int, w: SmoothWeight,
                table: PrimeTable) -> float:
     """Weighted count of z-rough n in (X, 2X] with n = a (mod d)."""
-    _check_window(X, min(X_OVERFLOW_CAP, table.limit // 2))
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if math.gcd(a, d) != 1:
         raise ValueError(f"a must be coprime to d = {d}, got {a}")
     if not 2 <= z < math.inf:
         raise ValueError(f"z must be >= 2, got {z}")
-    _admit_count(X, table)
+    _admit_window(X, _COUNT_BYTES_PER_N, table, _SPF, X_OVERFLOW_CAP)
     n = _progressions(X, [a % d], d)
     n = n[table.smallest_prime_factor[n] > z]
     return _weighted_sum(w, n, X)
@@ -275,12 +280,11 @@ def phi_sifted_coprime(X: int, z: float, d: int, w: SmoothWeight,
     The window's spf values are a view of the table; gcd(n, d) is taken
     LOG_CHUNK n at a time.
     """
-    _check_window(X, min(X_OVERFLOW_CAP, table.limit // 2))
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if not 2 <= z < math.inf:
         raise ValueError(f"z must be >= 2, got {z}")
-    _admit_count(X, table)
+    _admit_window(X, _COUNT_BYTES_PER_N, table, _SPF, X_OVERFLOW_CAP)
     keep = table.smallest_prime_factor[X + 1:2 * X + 1] > z
     for a in range(0, X, LOG_CHUNK):
         n = np.arange(X + 1 + a, X + 1 + min(a + LOG_CHUNK, X), dtype=np.int64)
@@ -301,7 +305,7 @@ def A_d_count(X: int, ell: int, d: int, w: SmoothWeight,
     _check_window(X)
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    _admit_count(X, table)
+    _check_window_memory(X, _COUNT_BYTES_PER_N)
     roots = _ell_roots(ell, table)
     if math.gcd(d, ell) > 1:
         return 0.0
@@ -566,7 +570,6 @@ def quadratic_window_stats(X: int, table: PrimeTable) -> QuadraticWindowStats:
     (10 B per n, about 9.5 MiB at X = 1e6) until it asks for another X or
     drops the table.
     """
-    _check_window(X, min(X_FACTOR_CAP, table.limit // 2))
     memo = table._window
     if X in memo:
         return memo[X]
@@ -628,7 +631,6 @@ def chebyshev_decomposition(X: int, vartheta: float, w: SmoothWeight,
     cuts at the level X^flat = X^(1/2) exp(-sqrt(log X)), at X^vartheta, and
     at squarefull moduli; H1_model is the expected main term of H1.
     """
-    _check_window(X, min(X_FACTOR_CAP, table.limit // 2))
     if not 0.5 < vartheta < 1.0:
         raise ValueError(f"vartheta must lie in (1/2, 1), got {vartheta}")
     flat = x_flat(X)
@@ -970,7 +972,6 @@ def weighted_sieve_experiment(X: int, params: WeightedSieveParams,
     the count of survivors with few prime factors, and the exhaustive check
     of the weight inequality on squarefree survivors.
     """
-    _check_window(X, min(X_FACTOR_CAP, table.limit // 2))
     _admit_window(X, _WEIGHTED_BYTES_PER_N, table)
     stats = quadratic_window_stats(X, table)
     z = X ** params.alpha
@@ -1125,7 +1126,6 @@ def dartyge_survey(X: int, u: float, table: PrimeTable) -> ExperimentReport:
     """Distribution of log P+(n^2+1)/log n over n with spf(n) > n^(1/u)."""
     if not 1.0 < u < math.inf:
         raise ValueError(f"u must exceed 1, got {u}")
-    _check_window(X, min(X_FACTOR_CAP, table.limit // 2))
     _admit_window(X, _DARTYGE_BYTES_PER_N, table)
     stats = quadratic_window_stats(X, table)
     qual = _u_rough(X, table, u)

@@ -32,9 +32,9 @@ class PrimeTable:
     Two columns are built on first use and kept for the table's lifetime:
     root_of_minus_one beside primes, which the window strike passes read
     instead of re-deriving the roots of -1 mod ell for every window, and
-    smallest_prime_factor over 0..limit, which only the code that factors
-    n from the table reads.  A table that is never asked for spf(n) never
-    holds its 4 B per entry.
+    smallest_prime_factor over 0..limit, which only the code that reads
+    spf(n) of window n, or factors an n above 10^5 with the table, reads.
+    A table that is never asked for spf(n) never holds its 4 B per entry.
     """
     limit: int
     primes: np.ndarray
@@ -227,6 +227,15 @@ def _check_memory(need: float, what: str, error=ValueError) -> None:
                     f"the {available / 2 ** 20:.0f} MiB available")
 
 
+def _admit_table(limit: int) -> None:
+    """Refuse a prime table to limit out of range or beyond the available
+    memory."""
+    if not 2 <= limit <= MAX_SIEVE_LIMIT:
+        raise ValueError(f"limit must be in [2, {MAX_SIEVE_LIMIT}], got {limit}")
+    _check_memory((limit + 1) * SIEVE_BYTES_PER_ENTRY,
+                  f"a prime table to {limit}")
+
+
 def sieve_primes(limit: int) -> PrimeTable:
     """Sieve of Eratosthenes over the odd entries alone, to a table of the
     primes up to limit; the smallest-prime-factor column is left to its
@@ -238,10 +247,7 @@ def sieve_primes(limit: int) -> PrimeTable:
     p^2 // 2.  The primes ascend, so entry p // 2 is final when p is
     reached.
     """
-    if not 2 <= limit <= MAX_SIEVE_LIMIT:
-        raise ValueError(f"limit must be in [2, {MAX_SIEVE_LIMIT}], got {limit}")
-    _check_memory((limit + 1) * SIEVE_BYTES_PER_ENTRY,
-                  f"a prime table to {limit}")
+    _admit_table(limit)
     prime = np.ones((limit + 1) // 2, dtype=bool)
     for i in range(1, (math.isqrt(limit) - 1) // 2 + 1):
         if prime[i]:
@@ -315,14 +321,16 @@ _SMALL_TABLE = sieve_primes(10 ** 5)
 def factorize(n: int, table: PrimeTable | None = None) -> Factorization:
     """Full factorization for 1 <= n < 2^63.
 
-    n within the table is read off its spf column, which the first such
-    call builds; a larger n is trial-divided and split by Brent's method.
+    n <= 10^5 is read off the spf column of the module's own small table,
+    and a larger n within the given table off that table's; each column is
+    built by the first such read.  Any other n is trial-divided and split
+    by Brent's method.
     """
     if not 1 <= n < 2 ** 63:
         raise ValueError(f"n must be in [1, 2^63), got {n}")
     src = n
     found: dict[int, int] = {}
-    tab = table if table is not None else _SMALL_TABLE
+    tab = _SMALL_TABLE if table is None or n <= _SMALL_TABLE.limit else table
     if n <= tab.limit:
         spf = tab.smallest_prime_factor
         while n > 1:

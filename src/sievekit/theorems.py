@@ -46,9 +46,8 @@ BETA_HYPOTHESIS_MAX = 0.68
 MAX_BETA_POINTS = 10 ** 4
 
 # c2 kernel: numerator 88288 = 4 * 22072; denominator (91 - 89t)^2 expanded.
-C2_NUMERATOR = 88288
 GAMMA12_SCALE = 22072
-assert C2_NUMERATOR == 4 * GAMMA12_SCALE
+C2_NUMERATOR = 4 * GAMMA12_SCALE
 
 
 def _gamma_value(theta: float) -> float:
@@ -257,10 +256,10 @@ def c1_integral(params: WeightedSieveParams,
 
 
 def c2_integral(params: WeightedSieveParams) -> float:
-    """e^gamma alpha int_delta^beta (1/t - 1/beta) 88288/(91 - 89t)^2 dt."""
-    if params.beta >= BETA_HYPOTHESIS_MAX:
-        raise HypothesisViolationError(
-            f"kernel bound proved only for beta < {BETA_HYPOTHESIS_MAX}")
+    """e^gamma alpha int_delta^beta (1/t - 1/beta) 88288/(91 - 89t)^2 dt.
+
+    The kernel bound is proved only for beta < BETA_HYPOTHESIS_MAX, which
+    WeightedSieveParams already enforces."""
     if params.beta <= params.delta:
         return 0.0
     integrand = lambda t: ((1.0 / t - 1.0 / params.beta) * C2_NUMERATOR

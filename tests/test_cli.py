@@ -8,6 +8,7 @@ import json
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -393,6 +394,35 @@ def test_weighted_parameters_exit_1_before_the_prime_table(capsys, unsieved,
     code, out, err = run_cli(capsys, "empirical", "weighted", *argv.split())
     assert code == 1 and out == ""
     assert err == f"error: {cause}\n"
+
+
+@pytest.mark.parametrize("experiment",
+                         ["q-ell", "q-ell-u", "phi", "phi-coprime", "a-d"])
+def test_count_window_beyond_memory_exits_1_before_the_prime_table(
+        capsys, unsieved, monkeypatch, experiment):
+    # the table to 2X fits in 1 MiB, the count's window (27 B per n) does
+    # not, so the window is refused by name and the table never sieved
+    monkeypatch.setattr(primes, "_mem_available_bytes", lambda: 2 ** 20)
+    code, out, err = run_cli(capsys, "empirical", experiment, "--X", "100000")
+    assert code == 1 and out == ""
+    assert err == ("error: the window of X = 100000 needs about 3 MiB, "
+                   "more than the 1 MiB available\n")
+
+
+def test_numpy_memory_error_exits_1_naming_it(capsys, monkeypatch):
+    # an allocation no admission check foresaw is still an exit-1 refusal
+    try:
+        from numpy._core._exceptions import _ArrayMemoryError
+    except ImportError:  # numpy < 2
+        from numpy.core._exceptions import _ArrayMemoryError
+
+    def allocate(*args):
+        raise _ArrayMemoryError((10 ** 7,), np.dtype(np.float64))
+    monkeypatch.setattr(experiments, "wolke_error_average", allocate)
+    code, out, err = run_cli(capsys, "empirical", "wolke", "--X", "1000")
+    assert code == 1 and out == ""
+    assert err == ("error: Unable to allocate 76.3 MiB for an array with "
+                   "shape (10000000,) and data type float64\n")
 
 
 # the experiments whose function takes the window weight w, and those of

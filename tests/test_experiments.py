@@ -450,9 +450,9 @@ def test_window_byte_constants_bound_the_measured_peaks():
 def test_count_byte_constant_bounds_the_measured_peaks():
     # one estimate covers the five counts: each one's peak at its widest
     # progression (ell = 1 or d = 1, the whole window) under its heaviest
-    # weight, on a table of its own, so it includes the spf column the
-    # count builds (8 B per n), lies below it, and the largest lies within
-    # a factor 1.25 of it
+    # weight, on a table of its own, so it includes the spf column where
+    # the count builds one (8 B per n), lies below it, and the largest lies
+    # within a factor 1.25 of it
     X = 10 ** 6
     runs = {"q-ell": lambda t: Q_ell(X, 1, PLATEAU, t),
             "q-ell-u": lambda t: Q_ell_u(X, 1, 11.2, PLATEAU, t),
@@ -496,13 +496,14 @@ def test_counts_refuse_a_window_beyond_available_memory(monkeypatch, count):
         count(table)
 
 
-def _spf_builds(monkeypatch):
-    """The list of spf column builds, appended to as each one starts."""
+def _spf_builds(monkeypatch, limit):
+    """The list of builds of the spf column of a table to limit, appended
+    to as each one starts; primes._SMALL_TABLE's own build is not one."""
     builds = []
     check = primes._check_memory
 
     def record(need, what, *args):
-        if what.startswith("the smallest-prime-factor column"):
+        if what == f"the smallest-prime-factor column to {limit}":
             builds.append(what)
         return check(need, what, *args)
     monkeypatch.setattr(primes, "_check_memory", record)
@@ -522,15 +523,19 @@ SPF_FREE = {
         SHARP, t),
     "almost-prime": lambda X, t: almost_prime_survey(X, 4, t),
     "gpf": lambda X, t: gpf_survey(X, 0.847, t),
+    # d <= X^(1/2) and ell = 5 are factored from primes._SMALL_TABLE
+    "bv": lambda X, t: bv_error_average(X, 1, SHARP, t),
+    "a-d": lambda X, t: A_d_count(X, 5, 1, SHARP, t),
 }
 
 
 @pytest.mark.parametrize("name", [*SPF_READERS, *SPF_FREE])
 def test_spf_column_is_built_only_where_n_is_factored(monkeypatch, name):
     # on a fresh table the spf column is built on its first read, once,
-    # and never by the experiments that read only the primes
-    builds = _spf_builds(monkeypatch)
+    # and never by the experiments that read only the primes or factor
+    # only n <= 10^5
     X = 20001
+    builds = _spf_builds(monkeypatch, 2 * X)
     table = sieve_primes(2 * X)
     run = {**SPF_READERS, **SPF_FREE}[name]
     first = run(X, table)

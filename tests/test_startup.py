@@ -110,9 +110,9 @@ def test_main_with_argv_leaves_the_gc_state_alone():
 
 
 def test_real_address_space_limit_refuses_up_front():
-    # under 2 GiB of address space the prime table to 2X is sieved (1.2 B
-    # per entry), and the count's window, spf column included (27 B per n),
-    # is refused by name before numpy allocates it, not by a MemoryError
+    # under 2 GiB of address space the prime table to 2X fits (1.2 B per
+    # entry), and the count's window, spf column included (27 B per n), is
+    # refused by name before the table is sieved, not by a MemoryError
     limit = 2 ** 31
     for X, need in [(10 ** 8, 2575), (5 * 10 ** 8, 12875)]:
         proc = subprocess.run(
