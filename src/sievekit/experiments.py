@@ -30,11 +30,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
-import numpy as np
-
-from .numerics import integrate_checked
+from .numerics import _numpy as np, integrate_checked
 from .primes import (MAX_ROOTS_MODULUS, PrimeTable, _check_memory,
                      _local_root_count, _roots_of, factorize, is_prime,
                      jacobi_table, multiplicative_suite, rho, roots_mod,
@@ -75,11 +73,13 @@ def _check_window(X: int, cap: int = X_OVERFLOW_CAP) -> None:
 # the masks.  The five counts, each over the whole window (ell = 1 or
 # d = 1) under the plateau weight, each in a fresh process: Q_ell_u 22.8
 # to 25.0 B, Q_ell 21.2 to 21.9 B (both with the 0.4 MB spf column of
-# primes._SMALL_TABLE, which factors ell <= 1e5), phi_sifted 21.0 to
-# 21.1 B, A_d_count 16.4 to 18.6 B (n and its weights, the small column
-# too, and none of the table's: it reads the table's spf only through
-# roots_mod for an ell > 1e5, which the count's estimate still covers),
-# phi_sifted_coprime 16.3 to 17.8 B.
+# primes._small_table(), which factors ell <= 1e5; that table is sieved
+# at its first use, which adds 0.08 B per n at X = 1e6 in a fresh
+# process), phi_sifted 21.0 to 21.1 B, A_d_count 16.4 to 18.6 B (n and
+# its weights, the small table and its column too, and none of the
+# table's: it reads the table's spf only through roots_mod for an
+# ell > 1e5, which the count's estimate still covers), phi_sifted_coprime
+# 16.3 to 17.8 B.
 WINDOW_BYTES_PER_N = 26
 _CHEBYSHEV_BYTES_PER_N = 33
 _WEIGHTED_BYTES_PER_N = 33
@@ -100,14 +100,18 @@ def _check_window_memory(X: int, bytes_per_n: int) -> None:
 
 def _admit_window(X: int, bytes_per_n: int, table: PrimeTable,
                   column: str = "root_of_minus_one",
-                  cap: int = X_FACTOR_CAP) -> None:
+                  cap: int = X_FACTOR_CAP,
+                  release: Callable[[], None] | None = None) -> None:
     """The one guard of a window read from table: refuse X outside
-    [1, cap] or with (X, 2X] beyond the table, then the window's
-    bytes_per_n per n beyond the available memory, then build the table's
-    column that the window reads, if it is not built yet: after the
-    check's heap trim and before the window's own arrays, so the column
-    does not sit among them."""
+    [1, cap] or with (X, 2X] beyond the table, then call release (what the
+    new window replaces is freed there, and kept when X is refused), then
+    refuse the window's bytes_per_n per n beyond the available memory,
+    then build the table's column that the window reads, if it is not
+    built yet: after the check's heap trim and before the window's own
+    arrays, so the column does not sit among them."""
     _check_window(X, min(cap, table.limit // 2))
+    if release is not None:
+        release()
     _check_window_memory(X, bytes_per_n)
     getattr(table, column)  # built on first access, then cached
 
@@ -565,7 +569,8 @@ def quadratic_window_stats(X: int, table: PrimeTable) -> QuadraticWindowStats:
     """Factor every n^2 + 1 for n in (X, 2X] by the progression sieve.
 
     The table memoizes one window: the same X again returns the same stats,
-    and another X frees the old window before striking the new one.  The
+    and another X frees the old window before striking the new one, once
+    X is in range: an X out of range is refused with the window kept.  The
     shared arrays are read-only.  A caller keeps the last window alive
     (10 B per n, about 9.5 MiB at X = 1e6) until it asks for another X or
     drops the table.
@@ -573,8 +578,7 @@ def quadratic_window_stats(X: int, table: PrimeTable) -> QuadraticWindowStats:
     memo = table._window
     if X in memo:
         return memo[X]
-    memo.clear()
-    _admit_window(X, WINDOW_BYTES_PER_N, table)
+    _admit_window(X, WINDOW_BYTES_PER_N, table, release=memo.clear)
     # Omega(n^2 + 1) <= log2(4 X_FACTOR_CAP^2 + 1) < 49 fits in int8
     omega = np.zeros(X, dtype=np.int8)
     big_omega = np.zeros(X, dtype=np.int8)

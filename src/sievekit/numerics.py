@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import types
 from typing import Callable, Sequence
 
 # Euler-Mascheroni constant, fixed literal (float64 rounds the 20-digit value).
@@ -13,6 +15,25 @@ DEFAULT_QUAD_TOL = 1e-9
 CROSSCHECK_QUAD_TOL = 1e-6
 MAX_QUAD_DEPTH = 48
 BISECT_TOL = 1e-12
+
+
+class _NumpyOnFirstRead(types.ModuleType):
+    """numpy, imported by the first attribute read, so a command that reads
+    no array never loads it.  That read copies numpy's namespace in and
+    makes this object a plain module: every later read costs what a read
+    of numpy itself does."""
+
+    def __getattr__(self, name: str):
+        import numpy
+        vars(self).update(vars(numpy))
+        self.__class__ = types.ModuleType
+        if gc.get_freeze_count():
+            # main() froze the import-time heap before numpy loaded
+            gc.freeze()
+        return getattr(numpy, name)
+
+
+_numpy = _NumpyOnFirstRead("numpy")  # the np of every array module
 
 
 class QuadratureError(RuntimeError):

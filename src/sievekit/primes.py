@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
-import numpy as np
+from .numerics import _numpy as np
 
 MAX_SIEVE_LIMIT = 10 ** 9
 MAX_ROOTS_MODULUS = 10 ** 12
@@ -315,7 +315,11 @@ def _pollard_brent(n: int) -> int:
     raise ArithmeticError(f"cycle search exhausted on {n}")
 
 
-_SMALL_TABLE = sieve_primes(10 ** 5)
+@functools.cache
+def _small_table() -> PrimeTable:
+    """The primes to 10^5, sieved on the first call: factorize and
+    jacobi_table read an n within it off this table."""
+    return sieve_primes(10 ** 5)
 
 
 def factorize(n: int, table: PrimeTable | None = None) -> Factorization:
@@ -330,7 +334,8 @@ def factorize(n: int, table: PrimeTable | None = None) -> Factorization:
         raise ValueError(f"n must be in [1, 2^63), got {n}")
     src = n
     found: dict[int, int] = {}
-    tab = _SMALL_TABLE if table is None or n <= _SMALL_TABLE.limit else table
+    small = _small_table()
+    tab = small if table is None or n <= small.limit else table
     if n <= tab.limit:
         spf = tab.smallest_prime_factor
         while n > 1:
@@ -338,7 +343,7 @@ def factorize(n: int, table: PrimeTable | None = None) -> Factorization:
             found[p] = found.get(p, 0) + 1
             n //= p
     else:
-        for p in map(int, _SMALL_TABLE.primes):
+        for p in map(int, small.primes):
             if p * p > n:
                 break
             while n % p == 0:
@@ -399,7 +404,8 @@ def jacobi_table(n: int) -> np.ndarray:
     """
     if n <= 0 or n % 2 == 0:
         raise ValueError(f"modulus must be odd positive, got {n}")
-    tab = _SMALL_TABLE if n <= _SMALL_TABLE.limit else sieve_primes(n)
+    small = _small_table()
+    tab = small if n <= small.limit else sieve_primes(n)
     chi = np.zeros(n, dtype=np.int8)
     chi[1 % n] = 1  # (1/n) = 1, and (0/n) = 0 except (0/1) = 1
     if n > 2:

@@ -29,9 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .numerics import E_GAMMA, EULER_GAMMA, integrate_checked
+from .numerics import E_GAMMA, EULER_GAMMA, _numpy as np, integrate_checked
 
 TWO_E_GAMMA = 2.0 * E_GAMMA
 E_MINUS_GAMMA = math.exp(-EULER_GAMMA)

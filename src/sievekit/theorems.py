@@ -12,11 +12,10 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-import numpy as np
-
-from .numerics import (E_GAMMA, QuadratureError, bisect_root, integrate_checked,
-                       integrate_piecewise, parabolic_peak)
+from .numerics import (E_GAMMA, QuadratureError, _numpy as np, bisect_root,
+                       integrate_checked, integrate_piecewise, parabolic_peak)
 from .reports import TheoremReport
 from .sieve_functions import (BuchstabTable, SieveFunctionTable,
                               Sigma2DomainError, TableDomainError, buchstab_w,
@@ -198,22 +197,61 @@ class WeightedSieveParams:
         return self.r + 1 - 2.0 / self.beta
 
 
-def _integrate_weight_times_table(phi, lo: float, hi: float,
-                                  table: SieveFunctionTable,
-                                  values) -> float:
-    """Integral of phi(s) * interp(s) with cell-aligned composite Simpson.
+class _C1Cells(NamedTuple):
+    """The beta-free half of c1's cell rule for one alpha, over the cells
+    [s_i, s_(i+1)] of the F grid up to s_hi = (1 - 2 alpha)/(2 alpha):
+    1/(0.5 - alpha s) at s_0..s_hi and at the cell midpoints, the cell
+    widths / 6 and F_i + F_(i+1).  Nothing past s_hi is built: the grid
+    may reach s = 1/(2 alpha), where 0.5 - alpha s = 0.  A C(beta) scan
+    builds them once and slices them at each beta."""
+    inv_node: np.ndarray
+    inv_mid: np.ndarray
+    width6: np.ndarray
+    F_sum: np.ndarray
 
-    The tabulated function is exactly linear inside each grid cell, so
-    Simpson with cell midpoints is exact in it; only the smooth weight phi
-    contributes error, at O(step^4) per unit length.  phi must accept both
-    floats and numpy arrays.
+
+def _c1_s_hi(alpha: float) -> float:
+    """The top of c1's range in s = (1 - 2t)/(2 alpha), at t = alpha."""
+    return (1.0 - 2.0 * alpha) / (2.0 * alpha)
+
+
+def _c1_cells(alpha: float, table: SieveFunctionTable) -> _C1Cells:
+    # alpha >= 1/2 puts s_hi below 0, where every point is refused; a
+    # negative slice end would reach the zero of 0.5 - alpha s
+    i_hi = max(int(math.floor(_c1_s_hi(alpha) / table.step + 1e-9)), 0)
+    s, F = table.s_grid[:i_hi + 1], table.F_values[:i_hi + 1]
+    sa, sb = s[:-1], s[1:]
+    return _C1Cells(inv_node=1.0 / (0.5 - alpha * s),
+                    inv_mid=1.0 / (0.5 - alpha * (0.5 * (sa + sb))),
+                    width6=(sb - sa) / 6.0, F_sum=F[:-1] + F[1:])
+
+
+def c1_integral(params: WeightedSieveParams, table: SieveFunctionTable,
+                cells: _C1Cells | None = None) -> float:
+    """Integral of (1/t - 1/beta) F((1 - 2t)/(2 alpha)) over [alpha, delta].
+
+    Substituting s = (1 - 2t)/(2 alpha) turns this into the integral of
+    phi(s) F(s) over [s_lo, s_hi], with phi(s) = alpha (1/(0.5 - alpha s)
+    - 1/beta), a weight against the tabulated F (closed-branch agreement is
+    a tested invariant).  Composite Simpson on the grid cells integrates it
+    to table accuracy at table cost: F is exactly linear inside each cell,
+    so Simpson with cell midpoints is exact in it, and only phi contributes
+    error, at O(step^4) per unit length.  The partial cells at the two ends
+    take the same rule on their own ends and midpoint.  cells are the
+    rule's beta-free arrays for params.alpha on table, which a C(beta) scan
+    builds once; a single point builds its own.
     """
+    if cells is None:
+        cells = _c1_cells(params.alpha, table)
+    a, inv_beta = params.alpha, 1.0 / params.beta
+    lo, hi = (1.0 - 2.0 * params.delta) / (2.0 * a), _c1_s_hi(a)
     if hi <= lo:
         return 0.0
-    step = table.step
+    step, values = table.step, table.F_values
     if lo < step - 1e-12 or hi > table.s_max + 1e-12:
         raise TableDomainError(f"integration range [{lo}, {hi}] leaves the "
                                f"tabulated span [{step}, {table.s_max}]")
+    phi = lambda s: a * (1.0 / (0.5 - a * s) - inv_beta)
 
     def segment(x0: float, x1: float) -> float:
         if x1 - x0 <= 0.0:
@@ -229,30 +267,15 @@ def _integrate_weight_times_table(phi, lo: float, hi: float,
     if i_lo >= i_hi:
         return segment(lo, hi)
     total = segment(lo, i_lo * step)
-    sa, sb = table.s_grid[i_lo:i_hi], table.s_grid[i_lo + 1:i_hi + 1]
+    phi_node = a * (cells.inv_node[i_lo:i_hi + 1] - inv_beta)
+    phi_mid = a * (cells.inv_mid[i_lo:i_hi] - inv_beta)
     fa, fb = values[i_lo:i_hi], values[i_lo + 1:i_hi + 1]
-    cells = (sb - sa) / 6.0 * (phi(sa) * fa
-                               + 2.0 * phi(0.5 * (sa + sb)) * (fa + fb)
-                               + phi(sb) * fb)
-    total += float(np.sum(cells))
+    terms = cells.width6[i_lo:i_hi] * (
+        phi_node[:-1] * fa + 2.0 * phi_mid * cells.F_sum[i_lo:i_hi]
+        + phi_node[1:] * fb)
+    total += float(np.sum(terms))
     total += segment(i_hi * step, hi)
     return total
-
-
-def c1_integral(params: WeightedSieveParams,
-                table: SieveFunctionTable) -> float:
-    """Integral of (1/t - 1/beta) F((1 - 2t)/(2 alpha)) over [alpha, delta].
-
-    Substituting s = (1 - 2t)/(2 alpha) turns this into a weight against
-    the tabulated F (closed-branch agreement is a tested invariant), which
-    the cell-aligned rule integrates to table accuracy at table cost.
-    """
-    a, beta = params.alpha, params.beta
-    s_lo = (1.0 - 2.0 * params.delta) / (2.0 * a)
-    s_hi = (1.0 - 2.0 * a) / (2.0 * a)
-    phi = lambda s: a * (1.0 / (0.5 - a * s) - 1.0 / beta)
-    return _integrate_weight_times_table(phi, s_lo, s_hi, table,
-                                         table.F_values)
 
 
 def c2_integral(params: WeightedSieveParams) -> float:
@@ -268,11 +291,12 @@ def c2_integral(params: WeightedSieveParams) -> float:
     return E_GAMMA * params.alpha * quad
 
 
-def compute_C(params: WeightedSieveParams,
-              table: SieveFunctionTable) -> TheoremReport:
-    """Weighted-sieve constant C = f(1/(2 alpha)) - (c1 + c2)/eta."""
+def compute_C(params: WeightedSieveParams, table: SieveFunctionTable,
+              cells: _C1Cells | None = None) -> TheoremReport:
+    """Weighted-sieve constant C = f(1/(2 alpha)) - (c1 + c2)/eta; cells
+    as in c1_integral."""
     f_term = eval_f(1.0 / (2.0 * params.alpha), table)
-    c1 = c1_integral(params, table)
+    c1 = c1_integral(params, table, cells)
     c2 = c2_integral(params)
     eta = params.eta
     C = f_term - (c1 + c2) / eta
@@ -317,11 +341,12 @@ def optimize_beta(r: int, alpha: float,
     """Scan C over the beta grid [0.41, 0.68); return maximizer and curve."""
     betas = beta_grid(r, step)
     delta_root = solve_delta()
+    cells = _c1_cells(alpha, table)
 
     def point(beta: float) -> float:
         params = WeightedSieveParams(alpha=alpha, beta=beta,
                                      delta=min(delta_root, beta), r=r)
-        return compute_C(params, table).margin
+        return compute_C(params, table, cells).margin
 
     curve = [(beta, point(beta)) for beta in betas]
     i = max(range(len(curve)), key=lambda k: curve[k][1])

@@ -259,7 +259,7 @@ def test_square_sieve_factors_each_ell_from_the_table(monkeypatch):
         raise AssertionError(f"searched for a factor of {n}")
     monkeypatch.setattr(primes, "is_prime", refuse)
     monkeypatch.setattr(primes, "_pollard_brent", refuse)
-    monkeypatch.setattr(primes, "_SMALL_TABLE", sieve_primes(2))
+    monkeypatch.setattr(primes, "_small_table", lambda: sieve_primes(2))
     for X, L in [(1000, 3), (3000, 9), (4000, 100)]:
         table = sieve_primes(2 * X)
         assert square_sieve_count(X, L, table) == _square_sieve_pairs(X, L)
@@ -314,6 +314,31 @@ def test_window_memo_holds_only_the_last_window(prime_table):
     b = quadratic_window_stats(900, prime_table)
     assert list(prime_table._window) == [900]
     assert prime_table._window[900] is b
+
+
+def test_window_memo_survives_a_refused_x():
+    table = sieve_primes(2000)
+    a = quadratic_window_stats(1000, table)
+    for X in (0, 5000):  # outside [1, table.limit // 2]
+        with pytest.raises(OverflowGuardError):
+            quadratic_window_stats(X, table)
+        assert table._window == {1000: a}
+    assert quadratic_window_stats(1000, table) is a
+
+
+def test_window_memo_frees_the_old_window_before_the_memory_check(
+        monkeypatch):
+    table = sieve_primes(2000)
+    quadratic_window_stats(1000, table)
+    held = []
+    check = experiments._check_window_memory
+
+    def record(X, bytes_per_n):
+        held.append(dict(table._window))
+        return check(X, bytes_per_n)
+    monkeypatch.setattr(experiments, "_check_window_memory", record)
+    b = quadratic_window_stats(900, table)
+    assert held == [{}] and table._window == {900: b}
 
 
 def test_window_memo_is_per_table():
@@ -498,7 +523,7 @@ def test_counts_refuse_a_window_beyond_available_memory(monkeypatch, count):
 
 def _spf_builds(monkeypatch, limit):
     """The list of builds of the spf column of a table to limit, appended
-    to as each one starts; primes._SMALL_TABLE's own build is not one."""
+    to as each one starts; primes._small_table()'s own build is not one."""
     builds = []
     check = primes._check_memory
 
@@ -523,7 +548,7 @@ SPF_FREE = {
         SHARP, t),
     "almost-prime": lambda X, t: almost_prime_survey(X, 4, t),
     "gpf": lambda X, t: gpf_survey(X, 0.847, t),
-    # d <= X^(1/2) and ell = 5 are factored from primes._SMALL_TABLE
+    # d <= X^(1/2) and ell = 5 are factored from primes._small_table()
     "bv": lambda X, t: bv_error_average(X, 1, SHARP, t),
     "a-d": lambda X, t: A_d_count(X, 5, 1, SHARP, t),
 }

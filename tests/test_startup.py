@@ -1,11 +1,13 @@
-"""Start-up: importing sievekit pins OpenBLAS to one thread before numpy,
-and the command line freezes its import-time heap out of the cyclic GC.
+"""Start-up: numpy loads at the first array use, after importing sievekit
+has pinned OpenBLAS to one thread, and the command line freezes its
+import-time heap out of the cyclic GC, numpy's too when it loads later.
 
-sievekit makes no BLAS call, so the pin only saves the thread pool numpy
-would start.  An explicit OPENBLAS_NUM_THREADS wins, and the output does not
-depend on it.  Only main() called as the process's own command line (argv
-None) freezes; main(argv) leaves the caller's GC state alone.  The real
-entry keeps the 0/1/2 exit contract, also under a real memory limit.
+A command that reads no array never loads numpy.  sievekit makes no BLAS
+call, so the pin only saves the thread pool numpy would start.  An explicit
+OPENBLAS_NUM_THREADS wins, and the output does not depend on it.  Only
+main() called as the process's own command line (argv None) freezes;
+main(argv) leaves the caller's GC state alone.  The real entry keeps the
+0/1/2 exit contract, also under a real memory limit.
 """
 
 import contextlib
@@ -27,7 +29,8 @@ from test_cli_golden import GOLDEN
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(sievekit.__file__)))
 
-# Records OPENBLAS_NUM_THREADS at the moment numpy is first imported.
+# Records OPENBLAS_NUM_THREADS at the moment numpy is first imported: at
+# the first array use, which comes after import sievekit.
 PROBE = """
 import os, sys
 seen = []
@@ -37,16 +40,28 @@ class Probe:
             seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
 sys.meta_path.insert(0, Probe())
 import sievekit
+sievekit.sieve_primes(10)
 print(seen[0], os.environ["OPENBLAS_NUM_THREADS"])
 """
 
 
-# Runs the CLI module as `-m` does and reports the freeze count at exit.
-FREEZE_PROBE = """
+# Runs the CLI module as `-m` does and reports, as the last line of stderr,
+# the freeze count at exit and whether numpy was loaded.
+EXIT_PROBE = """
 import atexit, gc, runpy, sys
 atexit.register(lambda: print("frozen", gc.get_freeze_count(),
-                              file=sys.stderr))
+                              "numpy" in sys.modules, file=sys.stderr))
 runpy.run_module("sievekit.cli", run_name="__main__", alter_sys=True)
+"""
+
+# The objects that importing numpy after sievekit leaves alive.
+NUMPY_HEAP = """
+import gc, sievekit.cli
+gc.collect()
+before = len(gc.get_objects())
+import numpy
+gc.collect()
+print(len(gc.get_objects()) - before)
 """
 
 
@@ -94,12 +109,57 @@ def test_real_entry_keeps_the_exit_contract(command, code, stderr):
     assert proc.stderr.startswith(stderr), proc.stderr
 
 
+def probe_exit(command: str) -> tuple[subprocess.CompletedProcess, int, bool]:
+    """Run the real entry on command; return the process, the freeze count
+    at exit and whether numpy was loaded."""
+    proc = run(["-c", EXIT_PROBE, *command.split()], None)
+    label, count, loaded = proc.stderr.splitlines()[-1].split()
+    assert label == "frozen" and loaded in ("True", "False"), proc.stderr
+    return proc, int(count), loaded == "True"
+
+
 def test_command_line_freezes_its_import_time_heap():
-    proc = run(["-c", FREEZE_PROBE, "verify", "thm2"], None)
+    proc, count, _loaded = probe_exit("verify thm2")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["passed"] is True
-    label, count = proc.stderr.split()
-    assert label == "frozen" and int(count) > 0, proc.stderr
+    assert count > 0, proc.stderr
+
+
+@pytest.mark.parametrize("module", ["sievekit", "sievekit.cli"])
+def test_import_leaves_numpy_unloaded(module):
+    proc = run(["-c", f"import sys, {module}; "
+                      f"print('numpy' in sys.modules)"], None)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_commands_that_read_no_array_leave_numpy_unloaded(tmp_path):
+    saved = tmp_path / "thm2.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "thm2", "--out", str(saved)]) == 0
+    for command, code in [("functions eval sigma2 1", 0),
+                          ("functions eval gamma_theta 0.6", 0),
+                          ("verify thm2", 0),
+                          (f"report {saved}", 0),
+                          ("empirical chebyshev --X 0", 1),
+                          ("empirical chebyshev --X", 2)]:
+        proc, _count, loaded = probe_exit(command)
+        assert proc.returncode == code, (command, proc.stderr)
+        assert not loaded, command
+    proc, _count, loaded = probe_exit("empirical chebyshev --X 20000")
+    assert proc.returncode == 0, proc.stderr
+    assert loaded
+
+
+def test_first_array_use_freezes_numpys_import_heap():
+    # main() froze before numpy loaded; the load freezes again, so an array
+    # command ends with numpy's import heap frozen on top of verify thm2's
+    heap = int(run(["-c", NUMPY_HEAP], None).stdout)
+    _proc, scalar, loaded = probe_exit("verify thm2")
+    assert not loaded
+    proc, array, loaded = probe_exit("empirical chebyshev --X 20000")
+    assert proc.returncode == 0 and loaded, proc.stderr
+    assert array - scalar >= 0.9 * heap > 0, (array, scalar, heap)
 
 
 def test_main_with_argv_leaves_the_gc_state_alone():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -185,6 +186,55 @@ def test_optimize_beta_curve(tables):
     changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
     assert changes == 1  # enters positive once, stays positive to the cap
     assert signs[-1]
+
+
+def _c1_reference(params, table):
+    """c1 by the cell rule written out with phi applied to each array, as
+    before its beta-free arrays were shared across a scan."""
+    a, step, F = params.alpha, table.step, table.F_values
+    lo = (1.0 - 2.0 * params.delta) / (2.0 * a)
+    hi = (1.0 - 2.0 * a) / (2.0 * a)
+    phi = lambda s: a * (1.0 / (0.5 - a * s) - 1.0 / params.beta)
+
+    def segment(x0, x1):
+        if x1 - x0 <= 0.0:
+            return 0.0
+        mid = 0.5 * (x0 + x1)
+        return (x1 - x0) / 6.0 * (phi(x0) * table.interp(x0, F)
+                                  + 4.0 * phi(mid) * table.interp(mid, F)
+                                  + phi(x1) * table.interp(x1, F))
+
+    i_lo = int(math.ceil(lo / step - 1e-9))
+    i_hi = int(math.floor(hi / step + 1e-9))
+    sa, sb = table.s_grid[i_lo:i_hi], table.s_grid[i_lo + 1:i_hi + 1]
+    fa, fb = F[i_lo:i_hi], F[i_lo + 1:i_hi + 1]
+    cells = (sb - sa) / 6.0 * (phi(sa) * fa
+                               + 2.0 * phi(0.5 * (sa + sb)) * (fa + fb)
+                               + phi(sb) * fb)
+    return (segment(lo, i_lo * step) + float(cells.sum())
+            + segment(i_hi * step, hi))
+
+
+def test_c_beta_scan_is_bitwise_its_single_points(tables):
+    # the scan shares c1's beta-free arrays across its betas; each point is
+    # still bitwise compute_C on its own, and c1 the unshared cell rule's
+    delta_root = solve_delta()
+    _beta, _c, curve = optimize_beta(4, 1.0 / 12.0, tables)
+    for beta, c in curve:
+        params = WeightedSieveParams(alpha=1.0 / 12.0, beta=beta,
+                                     delta=min(delta_root, beta), r=4)
+        report = compute_C(params, tables)
+        assert report.margin == c, beta
+        assert report.computed["c1"] == _c1_reference(params, tables), beta
+
+
+def test_c_beta_scan_refuses_alpha_above_one_half_without_a_warning(tables):
+    # s_hi = (1 - 2 alpha)/(2 alpha) < 0: the grid node s = 1/(2 alpha) = 0.8
+    # must not be reached by the scan's shared arrays
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="need 0 < alpha < delta"):
+            optimize_beta(4, 0.625, tables)
 
 
 # ------------------------------------------------------------------- theorem 3
