@@ -13,6 +13,7 @@ from .numerics import _numpy as np
 MAX_SIEVE_LIMIT = 10 ** 9
 MAX_ROOTS_MODULUS = 10 ** 12
 MAX_INT64_SQUARE_ROOT = math.isqrt(2 ** 63 - 1)  # p^2 < 2^63 up to here
+SMALL_TABLE_LIMIT = 10 ** 5  # the reach of _small_table()
 # Bounds on the peaks per entry, by tracemalloc: sieve_primes holds one
 # bool per odd entry and the int64 primes, formed in place, and measured
 # 1.10 B at limit 2e6 and 1.01 B at 2e7; the smallest-prime-factor column is
@@ -317,9 +318,9 @@ def _pollard_brent(n: int) -> int:
 
 @functools.cache
 def _small_table() -> PrimeTable:
-    """The primes to 10^5, sieved on the first call: factorize and
-    jacobi_table read an n within it off this table."""
-    return sieve_primes(10 ** 5)
+    """The primes to SMALL_TABLE_LIMIT, sieved on the first call: factorize
+    and jacobi_table read an n within it off this table."""
+    return sieve_primes(SMALL_TABLE_LIMIT)
 
 
 def factorize(n: int, table: PrimeTable | None = None) -> Factorization:
@@ -404,8 +405,7 @@ def jacobi_table(n: int) -> np.ndarray:
     """
     if n <= 0 or n % 2 == 0:
         raise ValueError(f"modulus must be odd positive, got {n}")
-    small = _small_table()
-    tab = small if n <= small.limit else sieve_primes(n)
+    tab = _small_table() if n <= SMALL_TABLE_LIMIT else sieve_primes(n)
     chi = np.zeros(n, dtype=np.int8)
     chi[1 % n] = 1  # (1/n) = 1, and (0/n) = 0 except (0/1) = 1
     if n > 2:

@@ -9,7 +9,9 @@ F and f solve the coupled system
 and w solves u w(u) = 1 on [1, 2] with (u w(u))' = w(u - 1) beyond.  Tables
 march the delay equations on a uniform grid whose spacing h divides 1, so the
 lag-1 lookups land exactly on earlier grid nodes and the composite trapezoid
-rule applies without interpolation error.
+rule applies without interpolation error.  A table keeps only its step and
+its values: node i sits at x_i = i * h, which is all the grid there is, so
+``s_grid`` and ``u_grid`` are computed on each read and never stored.
 
 The march runs one unit block at a time.  With lag = 1/h, node m + 1 of the
 block [k, k + 1) reads only nodes m - lag and m + 1 - lag, both <= k * lag,
@@ -65,11 +67,15 @@ def _grid_step_nodes(step: float, top: float) -> tuple[int, int]:
     return lag, round(top / step) + 1
 
 
-def _interp(x: float, step: float, grid: np.ndarray,
-            values: np.ndarray) -> float:
+def _nodes(i: int, j: int, step: float) -> np.ndarray:
+    """Grid points x_m = m * step for nodes i <= m < j."""
+    return np.arange(i, j) * step
+
+
+def _interp(x: float, step: float, values: np.ndarray) -> float:
     """Linear interpolation of tabulated values on a uniform grid from 0."""
-    i = int(min(x / step, len(grid) - 2))
-    t = (x - grid[i]) / step
+    i = int(min(x / step, len(values) - 2))
+    t = (x - i * step) / step
     return float((1.0 - t) * values[i] + t * values[i + 1])
 
 
@@ -77,43 +83,63 @@ def _interp(x: float, step: float, grid: np.ndarray,
 class SieveFunctionTable:
     step: float
     s_max: float
-    s_grid: np.ndarray
     F_values: np.ndarray
     f_values: np.ndarray
 
+    @property
+    def s_grid(self) -> np.ndarray:
+        return _nodes(0, len(self.F_values), self.step)
+
     def interp(self, s: float, values: np.ndarray) -> float:
-        return _interp(s, self.step, self.s_grid, values)
+        return _interp(s, self.step, values)
 
 
 @dataclass(frozen=True)
 class BuchstabTable:
     step: float
     u_max: float
-    u_grid: np.ndarray
     w_values: np.ndarray
+
+    @property
+    def u_grid(self) -> np.ndarray:
+        return _nodes(0, len(self.w_values), self.step)
 
 
 def _march_block(values: np.ndarray, y: float, i: int, j: int, lag: int,
-                 half: float, grid: np.ndarray) -> tuple[np.ndarray, float]:
+                 step: float) -> tuple[np.ndarray, float]:
     """Trapezoid-march y = x * value(x) from node i to node j <= i + lag.
 
-    Node m + 1 adds half * (values[m - lag] + values[m + 1 - lag]); every
+    Node m + 1 adds step/2 * (values[m - lag] + values[m + 1 - lag]); every
     read is at index <= i.  Returns the values at nodes i + 1..j and the
     final y.
     """
-    inc = half * (values[i - lag:j - lag] + values[i + 1 - lag:j + 1 - lag])
+    inc = 0.5 * step * (values[i - lag:j - lag]
+                        + values[i + 1 - lag:j + 1 - lag])
     ys = np.cumsum(np.concatenate(([y], inc)))
-    return ys[1:] / grid[i + 1:j + 1], float(ys[-1])
+    return ys[1:] / _nodes(i + 1, j + 1, step), float(ys[-1])
 
 
 def _check_sieve_march(F: np.ndarray, f: np.ndarray, lo: int,
                        slack: float) -> None:
-    if np.any(np.diff(F[lo:]) > slack) or np.any(np.diff(f[lo:]) < -slack):
+    """Raise TableBuildError unless F/f beyond node lo = 2 lag (s = 2) keep
+    the linear sieve's monotone, gap and band bounds.
+
+    Each condition scans unit blocks of lo // 2 = lag nodes that share one
+    node with the next, so every difference is seen and no temporary
+    outgrows a block; a condition scans every block before the next one
+    starts, so the message is that of the first condition that fails.
+    """
+    lag = lo // 2
+    blocks = [(F[i:i + lag + 1], f[i:i + lag + 1])
+              for i in range(lo, len(F) - 1, lag)]
+    if any(np.any(np.diff(Fb) > slack) or np.any(np.diff(fb) < -slack)
+           for Fb, fb in blocks):
         raise TableBuildError("marched F/f lost monotonicity beyond s=2")
-    gap = F[lo:] - f[lo:]
-    if np.any(gap < -slack) or np.any(np.diff(gap) > slack):
+    if any(np.any(Fb - fb < -slack) or np.any(np.diff(Fb - fb) > slack)
+           for Fb, fb in blocks):
         raise TableBuildError("marched F-f gap is not non-increasing")
-    if np.any(F[lo:] < 1.0 - slack) or np.any(f[lo:] > 1.0 + slack):
+    if any(np.any(Fb < 1.0 - slack) or np.any(fb > 1.0 + slack)
+           for Fb, fb in blocks):
         raise TableBuildError("marched values left the [f <= 1 <= F] band")
 
 
@@ -123,26 +149,25 @@ def build_sieve_tables(step: float = DEFAULT_STEP,
     if s_max < 6.0:
         raise ValueError(f"s_max must be >= 6, got {s_max}")
     lag, n = _grid_step_nodes(step, s_max)
-    s = np.arange(n, dtype=np.float64) * step
+    i2, i3 = 2 * lag, 3 * lag
     F = np.empty(n)
     f = np.zeros(n)
     F[0] = np.nan  # s=0 is outside every evaluation domain
-    F[1:] = TWO_E_GAMMA / s[1:]
+    for i in range(1, i3, lag):  # s F(s) = 2e^gamma on (0, 3]
+        F[i:i + lag] = TWO_E_GAMMA / _nodes(i, i + lag, step)
 
     # y1 = s F(s), y2 = s f(s); y2 marches from s=2, y1 joins at s=3.
     # The lag-1 coupling runs both ways, so the marches interleave block by
     # block: each block reads only what earlier blocks of the other produced.
-    i2, i3 = 2 * lag, 3 * lag
     y1, y2 = TWO_E_GAMMA, 0.0
-    half = 0.5 * step
     for i in range(i2, n - 1, lag):
         j = min(i + lag, n - 1)
-        f[i + 1:j + 1], y2 = _march_block(F, y2, i, j, lag, half, s)
+        f[i + 1:j + 1], y2 = _march_block(F, y2, i, j, lag, step)
         if i >= i3:
-            F[i + 1:j + 1], y1 = _march_block(f, y1, i, j, lag, half, s)
+            F[i + 1:j + 1], y1 = _march_block(f, y1, i, j, lag, step)
 
     _check_sieve_march(F, f, i2, 10.0 * step * step)
-    return SieveFunctionTable(step=step, s_max=float(s[-1]), s_grid=s,
+    return SieveFunctionTable(step=step, s_max=(n - 1) * step,
                               F_values=F, f_values=f)
 
 
@@ -152,21 +177,19 @@ def build_buchstab_table(step: float = DEFAULT_STEP,
     if u_max < 12.0:
         raise ValueError(f"u_max must be >= 12, got {u_max}")
     lag, n = _grid_step_nodes(step, u_max)
-    u = np.arange(n, dtype=np.float64) * step
     w = np.zeros(n)
-    w[lag: 2 * lag + 1] = 1.0 / u[lag: 2 * lag + 1]
+    w[lag: 2 * lag + 1] = 1.0 / _nodes(lag, 2 * lag + 1, step)
 
     y = 1.0  # u w(u) at the march point
-    half = 0.5 * step
     for i in range(2 * lag, n - 1, lag):
         j = min(i + lag, n - 1)
-        w[i + 1:j + 1], y = _march_block(w, y, i, j, lag, half, u)
+        w[i + 1:j + 1], y = _march_block(w, y, i, j, lag, step)
 
     slack = 10.0 * step * step
     band = w[2 * lag:]
     if np.any(band < 0.5 - slack) or np.any(band > 1.0 + slack):
         raise TableBuildError("marched w left the [0.5, 1] band beyond u=2")
-    return BuchstabTable(step=step, u_max=float(u[-1]), u_grid=u, w_values=w)
+    return BuchstabTable(step=step, u_max=(n - 1) * step, w_values=w)
 
 
 def eval_F(s: float, table: SieveFunctionTable) -> float:
@@ -200,7 +223,7 @@ def buchstab_w(u: float, table: BuchstabTable) -> float:
         return 1.0 / u
     if u <= 3.0:
         return (1.0 + math.log(u - 1.0)) / u
-    return _interp(u, table.step, table.u_grid, table.w_values)
+    return _interp(u, table.step, table.w_values)
 
 
 def selberg_sigma2(s: float) -> float:

@@ -18,8 +18,8 @@ from .numerics import (E_GAMMA, QuadratureError, _numpy as np, bisect_root,
                        integrate_checked, integrate_piecewise, parabolic_peak)
 from .reports import TheoremReport
 from .sieve_functions import (BuchstabTable, SieveFunctionTable,
-                              Sigma2DomainError, TableDomainError, buchstab_w,
-                              eval_F, eval_f, selberg_sigma2)
+                              Sigma2DomainError, TableDomainError, _nodes,
+                              buchstab_w, eval_F, eval_f, selberg_sigma2)
 
 
 class InfeasibilityError(ValueError):
@@ -199,31 +199,72 @@ class WeightedSieveParams:
 
 class _C1Cells(NamedTuple):
     """The beta-free half of c1's cell rule for one alpha, over the cells
-    [s_i, s_(i+1)] of the F grid up to s_hi = (1 - 2 alpha)/(2 alpha):
-    1/(0.5 - alpha s) at s_0..s_hi and at the cell midpoints, the cell
-    widths / 6 and F_i + F_(i+1).  Nothing past s_hi is built: the grid
-    may reach s = 1/(2 alpha), where 0.5 - alpha s = 0.  A C(beta) scan
-    builds them once and slices them at each beta."""
+    [s_i, s_(i+1)] of the F grid with first <= i < last: 1/(0.5 - alpha s)
+    at their nodes s_first..s_last and at their midpoints, and their widths
+    / 6.  last never passes the node below s_hi = (1 - 2 alpha)/(2 alpha):
+    the grid may reach s = 1/(2 alpha), where 0.5 - alpha s = 0.  A C(beta)
+    scan builds them once from its lowest node and slices them at each
+    beta; a single point builds its own one unit block at a time."""
+    first: int
     inv_node: np.ndarray
     inv_mid: np.ndarray
     width6: np.ndarray
-    F_sum: np.ndarray
 
 
-def _c1_s_hi(alpha: float) -> float:
-    """The top of c1's range in s = (1 - 2t)/(2 alpha), at t = alpha."""
-    return (1.0 - 2.0 * alpha) / (2.0 * alpha)
+def _c1_range(alpha: float, delta: float,
+              step: float) -> tuple[float, float, int, int]:
+    """c1's range [s_lo, s_hi] in s = (1 - 2t)/(2 alpha), t in [alpha,
+    delta], and the first and last grid nodes i_lo, i_hi inside it."""
+    lo = (1.0 - 2.0 * delta) / (2.0 * alpha)
+    hi = (1.0 - 2.0 * alpha) / (2.0 * alpha)
+    return (lo, hi, int(math.ceil(lo / step - 1e-9)),
+            int(math.floor(hi / step + 1e-9)))
 
 
-def _c1_cells(alpha: float, table: SieveFunctionTable) -> _C1Cells:
-    # alpha >= 1/2 puts s_hi below 0, where every point is refused; a
-    # negative slice end would reach the zero of 0.5 - alpha s
-    i_hi = max(int(math.floor(_c1_s_hi(alpha) / table.step + 1e-9)), 0)
-    s, F = table.s_grid[:i_hi + 1], table.F_values[:i_hi + 1]
-    sa, sb = s[:-1], s[1:]
-    return _C1Cells(inv_node=1.0 / (0.5 - alpha * s),
-                    inv_mid=1.0 / (0.5 - alpha * (0.5 * (sa + sb))),
-                    width6=(sb - sa) / 6.0, F_sum=F[:-1] + F[1:])
+def _c1_cells(alpha: float, table: SieveFunctionTable, first: int,
+              last: int) -> _C1Cells:
+    # in place: no more than three of the range's arrays are ever alive
+    s = _nodes(first, last + 1, table.step)
+    width6 = s[1:] - s[:-1]
+    width6 /= 6.0
+    mid = s[:-1] + s[1:]
+    mid *= 0.5
+    for x in (s, mid):  # x -> 1/(0.5 - alpha x)
+        x *= alpha
+        np.subtract(0.5, x, out=x)
+        np.divide(1.0, x, out=x)
+    return _C1Cells(first=first, inv_node=s, inv_mid=mid, width6=width6)
+
+
+def _c1_terms(cells: _C1Cells, alpha: float, inv_beta: float, F: np.ndarray,
+              i: int, j: int, out: np.ndarray, scratch: np.ndarray) -> None:
+    """c1's cell rule: write the Simpson terms of cells i..j-1 to out,
+
+        width6 (phi_i F_i + 2 phi_mid (F_i + F_(i+1)) + phi_(i+1) F_(i+1)),
+
+    with phi = alpha (1/(0.5 - alpha s) - 1/beta), evaluated in place with
+    each sum and product taken in the order written, so a term's bits do not
+    depend on the range it is evaluated with.  scratch holds j - i floats
+    that the rule may overwrite; it may be the cells' own inv_mid, which
+    the rule reads only in its first write to scratch.
+    """
+    k = i - cells.first
+    node = cells.inv_node[k:k + j - i + 1]
+    fa, fb = F[i:j], F[i + 1:j + 1]
+    np.add(fa, fb, out=out)
+    np.subtract(cells.inv_mid[k:k + j - i], inv_beta, out=scratch)
+    scratch *= alpha
+    scratch *= 2.0
+    scratch *= out  # 2 phi_mid (F_i + F_(i+1))
+    np.subtract(node[:-1], inv_beta, out=out)
+    out *= alpha
+    out *= fa
+    out += scratch
+    np.subtract(node[1:], inv_beta, out=scratch)
+    scratch *= alpha
+    scratch *= fb
+    out += scratch
+    out *= cells.width6[k:k + j - i]
 
 
 def c1_integral(params: WeightedSieveParams, table: SieveFunctionTable,
@@ -239,15 +280,15 @@ def c1_integral(params: WeightedSieveParams, table: SieveFunctionTable,
     error, at O(step^4) per unit length.  The partial cells at the two ends
     take the same rule on their own ends and midpoint.  cells are the
     rule's beta-free arrays for params.alpha on table, which a C(beta) scan
-    builds once; a single point builds its own.
+    builds once over every point's range; a single point builds its own
+    one unit block at a time.  Either way the terms fill one array, summed
+    once.
     """
-    if cells is None:
-        cells = _c1_cells(params.alpha, table)
     a, inv_beta = params.alpha, 1.0 / params.beta
-    lo, hi = (1.0 - 2.0 * params.delta) / (2.0 * a), _c1_s_hi(a)
+    step, values = table.step, table.F_values
+    lo, hi, i_lo, i_hi = _c1_range(a, params.delta, step)
     if hi <= lo:
         return 0.0
-    step, values = table.step, table.F_values
     if lo < step - 1e-12 or hi > table.s_max + 1e-12:
         raise TableDomainError(f"integration range [{lo}, {hi}] leaves the "
                                f"tabulated span [{step}, {table.s_max}]")
@@ -262,20 +303,25 @@ def c1_integral(params: WeightedSieveParams, table: SieveFunctionTable,
             + 4.0 * phi(mid) * table.interp(mid, values)
             + phi(x1) * table.interp(x1, values))
 
-    i_lo = int(math.ceil(lo / step - 1e-9))
-    i_hi = int(math.floor(hi / step + 1e-9))
     if i_lo >= i_hi:
         return segment(lo, hi)
-    total = segment(lo, i_lo * step)
-    phi_node = a * (cells.inv_node[i_lo:i_hi + 1] - inv_beta)
-    phi_mid = a * (cells.inv_mid[i_lo:i_hi] - inv_beta)
-    fa, fb = values[i_lo:i_hi], values[i_lo + 1:i_hi + 1]
-    terms = cells.width6[i_lo:i_hi] * (
-        phi_node[:-1] * fa + 2.0 * phi_mid * cells.F_sum[i_lo:i_hi]
-        + phi_node[1:] * fb)
-    total += float(np.sum(terms))
-    total += segment(i_hi * step, hi)
-    return total
+    if cells is not None:
+        # one allocation: two of this size, freed together at the top of
+        # the heap, pass glibc's trim threshold, and every point of a scan
+        # then faults its pages in again (+40 % on optimize_beta)
+        terms, scratch = np.empty((2, i_hi - i_lo))
+        _c1_terms(cells, a, inv_beta, values, i_lo, i_hi, terms, scratch)
+    else:
+        terms = np.empty(i_hi - i_lo)
+        lag = round(1.0 / step)
+        for i in range(i_lo, i_hi, lag):
+            j = min(i + lag, i_hi)
+            block = _c1_cells(a, table, i, j)
+            _c1_terms(block, a, inv_beta, values, i, j,
+                      terms[i - i_lo:j - i_lo], block.inv_mid)
+            del block  # before the next one is built
+    return (segment(lo, i_lo * step) + float(np.sum(terms))
+            + segment(i_hi * step, hi))
 
 
 def c2_integral(params: WeightedSieveParams) -> float:
@@ -341,7 +387,12 @@ def optimize_beta(r: int, alpha: float,
     """Scan C over the beta grid [0.41, 0.68); return maximizer and curve."""
     betas = beta_grid(r, step)
     delta_root = solve_delta()
-    cells = _c1_cells(alpha, table)
+    # the largest delta has the lowest node; a range past the table's end
+    # is refused at every point, so the cells stop at that end
+    _, _, first, last = _c1_range(alpha, min(delta_root, betas[-1]),
+                                  table.step)
+    cells = _c1_cells(alpha, table, first,
+                      min(last, len(table.F_values) - 1))
 
     def point(beta: float) -> float:
         params = WeightedSieveParams(alpha=alpha, beta=beta,

@@ -26,6 +26,7 @@ from sievekit.primes import (
     sqrt_minus_one_lifts,
     x_flat,
 )
+from test_startup import run
 
 
 def segmented_prime_count(lo: int, hi: int) -> int:
@@ -212,6 +213,17 @@ def test_jacobi_table_makes_no_scalar_jacobi_call(monkeypatch):
         assert np.count_nonzero(chi) == sum(
             1 for a in range(n) if math.gcd(a, n) == 1)
         assert int(chi.sum(dtype=np.int64)) == 0
+
+
+def test_jacobi_table_above_the_small_limit_leaves_the_small_table_unbuilt():
+    # a fresh process, since any earlier factorization builds the table
+    probe = ("from sievekit import primes\n"
+             "primes.jacobi_table(100_003)\n"
+             "print(primes._small_table.cache_info().currsize)")
+    proc = run(["-c", probe], None)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
+    assert primes.SMALL_TABLE_LIMIT == primes._small_table().limit == 10 ** 5
 
 
 def test_pow_mod_matches_builtin_pow():

@@ -1,8 +1,10 @@
 """Marched linear-sieve tables against their closed forms and invariants."""
 
+import dataclasses
 import functools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,12 +16,15 @@ from sievekit.sieve_functions import (
     E_MINUS_GAMMA,
     EIGHT_E_2GAMMA,
     MIN_STEP,
+    BuchstabTable,
     Sigma2DomainError,
+    SieveFunctionTable,
     TableBuildError,
     TableDomainError,
     TWO_E_GAMMA,
     _check_sieve_march,
     _grid_step_nodes,
+    _interp,
     build_buchstab_table,
     build_sieve_tables,
     buchstab_w,
@@ -223,6 +228,53 @@ def test_cumsum_is_a_left_fold(length):
     assert np.array_equal(np.cumsum(values), folded)
 
 
+# ------------------------------------------------ the grid is step * index
+
+def test_tables_store_no_grid():
+    assert [f.name for f in dataclasses.fields(SieveFunctionTable)] == [
+        "step", "s_max", "F_values", "f_values"]
+    assert [f.name for f in dataclasses.fields(BuchstabTable)] == [
+        "step", "u_max", "w_values"]
+
+
+@pytest.mark.parametrize("step", ORACLE_STEPS)
+def test_grids_are_the_step_times_the_index_bitwise(step):
+    ftable, wtable = build_sieve_tables(step=step), build_buchstab_table(step)
+    for grid, values in ((ftable.s_grid, ftable.F_values),
+                         (wtable.u_grid, wtable.w_values)):
+        n = len(values)
+        assert grid.tobytes() == (np.arange(n) * step).tobytes()
+        # the float grid the tables stored before
+        assert grid.tobytes() == (np.arange(n, dtype=np.float64)
+                                  * step).tobytes()
+    assert ftable.s_max == ftable.s_grid[-1]
+    assert wtable.u_max == wtable.u_grid[-1]
+
+
+def _stored_grid_interp(x, step, grid, values):
+    """Linear interpolation reading a stored grid, as tables did when they
+    kept one."""
+    i = int(min(x / step, len(grid) - 2))
+    t = (x - grid[i]) / step
+    return float((1.0 - t) * values[i] + t * values[i + 1])
+
+
+def test_interp_matches_the_stored_grid_formula_bitwise(tables, buchstab):
+    rng = random.Random(4099)
+    for step, top, columns in (
+            (tables.step, tables.s_max, (tables.F_values, tables.f_values)),
+            (buchstab.step, buchstab.u_max, (buchstab.w_values,))):
+        grid = np.arange(len(columns[0]), dtype=np.float64) * step
+        # seeded points, every eighth of them on a node, and the top end
+        points = [rng.uniform(step, top) for _ in range(999)] + [top]
+        points[::8] = [rng.randrange(1, len(grid)) * step
+                       for _ in points[::8]]
+        for values in columns:
+            for x in points:
+                assert _interp(x, step, values) == _stored_grid_interp(
+                    x, step, grid, values), x
+
+
 # --------------------------------------------------- build-time invariants
 
 def _marched(step=1e-3):
@@ -261,6 +313,82 @@ def test_check_sieve_march_band():
     f[lo:] -= 0.01
     with pytest.raises(TableBuildError, match="band"):
         _check_sieve_march(F, f, lo, slack)
+
+
+# The check scans unit blocks [lo + k lag, lo + (k + 1) lag] that share
+# their end nodes; at step 1e-3, lag = 1000 and lo = 2000.
+_BLOCK_EDGE = 2000 + 3 * 1000
+_MONOTONE = "marched F/f lost monotonicity beyond s=2"
+_GAP = "marched F-f gap is not non-increasing"
+_BAND = r"marched values left the \[f <= 1 <= F\] band"
+
+
+def _grow_gap(F, f, k, slack):
+    """Step F up and f down by 0.9 slack from node k to k + 1: each stays
+    monotone within the slack, the gap grows by 1.8 slack."""
+    F[k + 1] = F[k] + 0.9 * slack
+    f[k + 1] = f[k] - 0.9 * slack
+
+
+@pytest.mark.parametrize("column", ["F", "f"])
+def test_check_sieve_march_monotonicity_at_a_block_edge(column):
+    F, f, lo, slack = _marched()
+    if column == "F":
+        F[_BLOCK_EDGE] += 1e-3
+    else:
+        f[_BLOCK_EDGE] -= 1e-3
+    with pytest.raises(TableBuildError, match=f"^{_MONOTONE}$"):
+        _check_sieve_march(F, f, lo, slack)
+
+
+@pytest.mark.parametrize("k", [_BLOCK_EDGE - 1, _BLOCK_EDGE])
+def test_check_sieve_march_gap_at_a_block_edge(k):
+    # the growing difference is the last of one block, then the first of
+    # the next
+    F, f, lo, slack = _marched()
+    _grow_gap(F, f, k, slack)
+    with pytest.raises(TableBuildError, match=f"^{_GAP}$"):
+        _check_sieve_march(F, f, lo, slack)
+
+
+def test_check_sieve_march_band_at_a_block_edge():
+    # f above 1 + slack at node b = 12000 (s = 12, a block edge) alone,
+    # where F - 1 and f - 1 are near 1e-8: F steps up 0.9 slack at b - 1
+    # to keep the gap above -slack, and f comes back by 0.9 slack a node
+    b = 2000 + 10 * 1000
+    F, f, lo, slack = _marched()
+    F[b - 1:] += 0.9 * slack
+    f[b], f[b + 1] = 1.0 + 1.5 * slack, 1.0 + 0.6 * slack
+    with pytest.raises(TableBuildError, match=f"^{_BAND}$"):
+        _check_sieve_march(F, f, lo, slack)
+
+
+def test_check_sieve_march_first_condition_wins_across_blocks():
+    # a later condition failing in the first block does not hide an
+    # earlier one failing in the last
+    F, f, lo, slack = _marched()
+    _grow_gap(F, f, lo + 500, slack)
+    F[len(F) - 2] += 1e-3
+    with pytest.raises(TableBuildError, match=f"^{_MONOTONE}$"):
+        _check_sieve_march(F, f, lo, slack)
+    F, f, lo, slack = _marched()
+    F[lo:] -= 0.01
+    f[lo:] -= 0.01
+    _grow_gap(F, f, len(F) - 3, slack)
+    with pytest.raises(TableBuildError, match=f"^{_GAP}$"):
+        _check_sieve_march(F, f, lo, slack)
+
+
+def test_default_tables_hold_only_their_values():
+    # F, f and w at 8 B per node, the 140,001 nodes of [0, 14] at 1e-4
+    tracemalloc.start()
+    try:
+        held = build_sieve_tables(), build_buchstab_table()
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(held[0].F_values) == 140_001
+    assert size <= 3 * 8 * 140_001 * 1.05
 
 
 def test_build_sieve_tables_rejects_scaled_march(monkeypatch):

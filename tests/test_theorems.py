@@ -2,11 +2,13 @@
 
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import pytest
 
+from sievekit import theorems
 from sievekit.sieve_functions import Sigma2DomainError
 from sievekit.theorems import (
     GAMMA12_THETA_MAX,
@@ -15,6 +17,7 @@ from sievekit.theorems import (
     HypothesisViolationError,
     InfeasibilityError,
     WeightedSieveParams,
+    beta_grid,
     compute_C,
     dartyge_margin,
     find_max_vartheta,
@@ -235,6 +238,45 @@ def test_c_beta_scan_refuses_alpha_above_one_half_without_a_warning(tables):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="need 0 < alpha < delta"):
             optimize_beta(4, 0.625, tables)
+
+
+def test_c1_cells_cover_only_the_nodes_read(tables, monkeypatch):
+    # the scan's cells start at its lowest node i_lo, that of its largest
+    # delta, and a single point builds unit blocks of [i_lo, i_hi] in turn
+    built = []
+    real = theorems._c1_cells
+    monkeypatch.setattr(theorems, "_c1_cells",
+                        lambda *args: built.append(args[2:]) or real(*args))
+    alpha, step, lag = 1.0 / 12.0, tables.step, round(1.0 / tables.step)
+    delta_root = solve_delta()
+    i_lo = lambda delta: math.ceil((1.0 - 2.0 * delta) / (2.0 * alpha) / step
+                                   - 1e-9)
+    i_hi = math.floor((1.0 - 2.0 * alpha) / (2.0 * alpha) / step + 1e-9)
+    optimize_beta(4, alpha, tables)
+    lowest = min(i_lo(min(delta_root, beta)) for beta in beta_grid(4, 1e-3))
+    assert built == [(lowest, i_hi)]
+    assert lowest == i_lo(delta_root) == 7334
+    built.clear()
+    compute_C(WeightedSieveParams(alpha=alpha, beta=0.622, delta=delta_root,
+                                  r=4), tables)
+    assert [first for first, _ in built] == list(range(lowest, i_hi, lag))
+    assert [last for _, last in built] == [first for first, _ in built[1:]] \
+        + [i_hi]
+
+
+def test_single_compute_C_peaks_at_its_terms_and_one_block(tables):
+    # 42,666 terms of 8 B (0.33 MiB) plus three arrays of one unit block;
+    # cells over the whole grid from s = 0 peaked at 2.83 MiB
+    params = WeightedSieveParams(alpha=1.0 / 12.0, beta=0.622,
+                                 delta=solve_delta(), r=4)
+    compute_C(params, tables)
+    tracemalloc.start()
+    try:
+        compute_C(params, tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * 2 ** 20
 
 
 # ------------------------------------------------------------------- theorem 3
