@@ -61,29 +61,35 @@ def _check_window(X: int, cap: int = X_OVERFLOW_CAP) -> None:
 # the table's root_of_minus_one (4 B per prime, 0.6 B per n) or, for the
 # counts but A_d_count, its smallest_prime_factor (4 B per entry, 8 B per
 # n).
-# quadratic_window_stats: 22.6 B, at the ell = 5 level: rem and p_plus
-# (16 B), omega and big_omega (2 B), and that level's one int64 buffer of
-# both progressions (3.2 B); almost_prime_survey and gpf_survey peak there
-# too.  dartyge_survey: 27.6 to 28.1 B, after the strike pass, where the
-# spf column it reads is built beside the memo (10 B) and its own arrays.
-# chebyshev_decomposition: 29.6 to 31.8 B, the most at 5e5, where the
-# strike pass's chunk temporaries, a fixed size, weigh most per n beside
-# lam_w, g_p and rem (24 B).  weighted_sieve_experiment: 29.1 to 30.2 B
-# under every weight, while g_vals is filled beside the memo, inner and
-# the masks.  The five counts, each over the whole window (ell = 1 or
-# d = 1) under the plateau weight, each in a fresh process: Q_ell_u 22.8
-# to 25.0 B, Q_ell 21.2 to 21.9 B (both with the 0.4 MB spf column of
-# primes._small_table(), which factors ell <= 1e5; that table is sieved
-# at its first use, which adds 0.08 B per n at X = 1e6 in a fresh
-# process), phi_sifted 21.0 to 21.1 B, A_d_count 16.4 to 18.6 B (n and
-# its weights, the small table and its column too, and none of the
-# table's: it reads the table's spf only through roots_mod for an
-# ell > 1e5, which the count's estimate still covers), phi_sifted_coprime
-# 16.3 to 17.8 B.
-WINDOW_BYTES_PER_N = 26
+# quadratic_window_stats: 16.0 to 18.5 B, the most at 5e5, in the strike
+# pass above sqrt(2X): rem (8 B), the int32 P+ (4 B), omega and big_omega
+# (2 B), and strike_large_primes' primes = 1 (mod 4) with their roots and
+# its chunk temporaries, the latter a fixed size, which weighs most per n
+# at small X; almost_prime_survey and gpf_survey peak there too.
+# dartyge_survey: 23.7 to 24.6 B, in its pass over the qualifiers, beside
+# the memo (10 B) and the spf column it reads (8 B): the rough mask and
+# Omega of the cofactors (1 B each), and ratio and Omega(n) (9 B per
+# qualifier, a third of the n at u = 11.2).  chebyshev_decomposition: 27.5
+# to 31.8 B, the most at 5e5, where the strike pass's chunk temporaries, a
+# fixed size, weigh most per n beside lam_w, g_p and rem (24 B).
+# weighted_sieve_experiment: 29.1 to 30.2 B under every weight, while
+# g_vals is filled beside the memo, inner and the masks.  The five counts,
+# each over the whole window (ell = 1 or d = 1) under the plateau weight,
+# each in a fresh process: Q_ell_u 22.8 to 25.0 B, Q_ell 21.2 to 21.9 B
+# (both with the 0.4 MB spf column of primes._small_table(), which factors
+# ell <= 1e5; that table is sieved at its first use, which adds 0.08 B per
+# n at X = 1e6 in a fresh process), phi_sifted 21.0 to 21.1 B, A_d_count
+# 16.4 to 18.6 B (n and its weights, the small table and its column too,
+# and none of the table's: it reads the table's spf only through roots_mod
+# for an ell > 1e5, which the count's estimate still covers),
+# phi_sifted_coprime 16.3 to 17.8 B.  At X = 1e7 the CLI jobs, by
+# ru_maxrss with the interpreter, numpy and the table to 2e7, peak at
+# 190 MB (almost-prime, gpf), 270 MB (dartyge), 320 MB (chebyshev) and
+# 322 MB (weighted).
+WINDOW_BYTES_PER_N = 20
 _CHEBYSHEV_BYTES_PER_N = 33
 _WEIGHTED_BYTES_PER_N = 33
-_DARTYGE_BYTES_PER_N = 30
+_DARTYGE_BYTES_PER_N = 27
 _COUNT_BYTES_PER_N = 27
 _SPF = "smallest_prime_factor"  # the table column every count but A_d reads
 
@@ -519,37 +525,40 @@ def strike_large_primes(X: int, table: PrimeTable, ell_min: int,
             visit(ells, levels)
 
 
-def _strike_window(X: int, table: PrimeTable, small, visit
-                   ) -> tuple[np.ndarray, np.ndarray]:
+def _strike_window(X: int, table: PrimeTable, small, visit) -> np.ndarray:
     """Divide every prime power up to 2X out of n^2 + 1 over (X, 2X].
 
     The one place that knows the split at ell_0 = sqrt(2X).  Below it the
-    generator's levels are divided out through their slices, and once the
-    generator has finished (so no idx of it is alive) small(levels) gets
-    every (ell, k, slices) in the generator's order.  Above it
-    strike_large_primes divides in chunks and calls visit(ells, levels)
-    per chunk.  Returns rem, the cofactors left, and the mask tail =
-    rem > 1.  With every prime up to 2X struck, each leftover is a single
-    prime beyond 2X; a leftover in (1, 2X] means a prime was missed, and
-    raises ArithmeticError in every consumer.
+    generator is drained first, each idx dropped as its level is yielded,
+    and small(levels) gets every (ell, k, slices) in the generator's order
+    before the n^2 + 1 buffer exists, so neither an idx nor what small
+    builds sits beside it; the levels are then divided out through their
+    slices.  Above it strike_large_primes divides in chunks and calls
+    visit(ells, levels) per chunk.  Returns rem, the cofactors left; the
+    leftovers are rem > 1, which the engine and its consumers read one
+    LOG_CHUNK at a time.  With every prime up to 2X struck, each leftover
+    is a single prime beyond 2X; a leftover in (1, 2X] means a prime was
+    missed, and raises ArithmeticError in every consumer.
     """
-    rem = np.arange(X + 1, 2 * X + 1, dtype=np.int64)
-    rem *= rem
-    rem += 1
     cutoff = max(2, math.isqrt(2 * X))  # progressions above are short
     levels = []
     for ell, k, _q, idx, slices in iter_quadratic_strikes(X, table,
                                                           ell_max=cutoff):
         del idx  # freed before the next level is built
-        for s in slices:
-            rem[s] //= ell
         levels.append((ell, k, slices))
     small(levels)
+    rem = np.arange(X + 1, 2 * X + 1, dtype=np.int64)
+    rem *= rem
+    rem += 1
+    for ell, _k, slices in levels:
+        for s in slices:
+            rem[s] //= ell
     strike_large_primes(X, table, cutoff, rem, visit)
-    tail = rem > 1
-    if np.any(tail & (rem <= 2 * X)):
-        raise ArithmeticError("leftover cofactor is not a prime beyond 2X")
-    return rem, tail
+    for a in range(0, X, LOG_CHUNK):
+        r = rem[a:a + LOG_CHUNK]
+        if np.any((r > 1) & (r <= 2 * X)):
+            raise ArithmeticError("leftover cofactor is not a prime beyond 2X")
+    return rem
 
 
 @dataclass(frozen=True)
@@ -562,7 +571,7 @@ class QuadraticWindowStats:
     X: int
     omega_m: np.ndarray      # distinct prime factors of n^2 + 1 (int8)
     big_omega_m: np.ndarray  # prime factors of n^2 + 1 with multiplicity (int8)
-    p_plus_m: np.ndarray     # greatest prime factor of n^2 + 1
+    p_plus_m: np.ndarray     # greatest prime factor of n^2 + 1 (int64)
 
 
 def quadratic_window_stats(X: int, table: PrimeTable) -> QuadraticWindowStats:
@@ -574,15 +583,21 @@ def quadratic_window_stats(X: int, table: PrimeTable) -> QuadraticWindowStats:
     shared arrays are read-only.  A caller keeps the last window alive
     (10 B per n, about 9.5 MiB at X = 1e6) until it asks for another X or
     drops the table.
+
+    _strike_window calls small(levels) before its n^2 + 1 buffer rem
+    exists, so the strike pass holds rem (8 B per n), P+ (4 B) and omega
+    and Omega (2 B) at most.  P+ stays int32 until the end, where it is
+    folded into rem's int64 buffer, which becomes p_plus_m.
     """
     memo = table._window
     if X in memo:
         return memo[X]
     _admit_window(X, WINDOW_BYTES_PER_N, table, release=memo.clear)
-    # Omega(n^2 + 1) <= log2(4 X_FACTOR_CAP^2 + 1) < 49 fits in int8
+    # Omega(n^2 + 1) <= log2(4 X_FACTOR_CAP^2 + 1) < 49 fits in int8, and
+    # every struck prime is <= 2X <= 2 X_FACTOR_CAP < 2^31 in int32
     omega = np.zeros(X, dtype=np.int8)
     big_omega = np.zeros(X, dtype=np.int8)
-    p_plus = np.ones(X, dtype=np.int64)
+    p_plus = np.ones(X, dtype=np.int32)
 
     def small(levels):
         for ell, k, slices in levels:
@@ -599,18 +614,23 @@ def quadratic_window_stats(X: int, table: PrimeTable) -> QuadraticWindowStats:
             np.add.at(big_omega, idx, one)
         slot, idx = levels[0]
         np.add.at(omega, idx, one)
-        # primes ascend, so the largest one is the generator's last write
-        np.maximum.at(p_plus, idx, ells[slot])
+        # primes ascend, so the largest one is the generator's last write;
+        # int32 values, as int64 ones would take ufunc.at's slow path too
+        np.maximum.at(p_plus, idx, ells.astype(np.int32)[slot])
 
-    rem, tail = _strike_window(X, table, small, visit)
-    # dense masked updates: a boolean gather would copy every leftover
-    omega += tail
-    big_omega += tail
-    np.copyto(p_plus, rem, where=tail)
-    for a in (omega, big_omega, p_plus):
+    rem = _strike_window(X, table, small, visit)
+    for a in range(0, X, LOG_CHUNK):
+        tail = rem[a:a + LOG_CHUNK] > 1
+        omega[a:a + LOG_CHUNK] += tail
+        big_omega[a:a + LOG_CHUNK] += tail
+    # rem is 1 off the tail and a prime beyond 2X >= P+ on it, so the
+    # larger of the two is P+(n^2 + 1), folded into rem's int64 buffer
+    np.maximum(rem, p_plus, out=rem)
+    del p_plus
+    for a in (omega, big_omega, rem):
         a.flags.writeable = False
     memo[X] = QuadraticWindowStats(X=X, omega_m=omega, big_omega_m=big_omega,
-                                   p_plus_m=p_plus)
+                                   p_plus_m=rem)
     return memo[X]
 
 
@@ -729,16 +749,16 @@ def chebyshev_decomposition(X: int, vartheta: float, w: SmoothWeight,
         slot, k = np.nonzero(struck)
         fold(ells[slot], k + 1, sums[0][struck], sums[1][struck])
 
-    rem, tail = _strike_window(X, table, small, visit)
+    rem = _strike_window(X, table, small, visit)
     # the products with the log of each leftover cofactor, compacted to the
     # front of lam_w and g_p a chunk at a time: each prefix holds the
-    # gather at tail of the products, in the same order and number, so
+    # gather at rem > 1 of the products, in the same order and number, so
     # np.sum adds it alike without a window-long copy
     kept = 0
     for a in range(0, X, LOG_CHUNK):
         logs = rem[a:a + LOG_CHUNK].astype(np.float64)
         np.log(logs, out=logs)
-        at = np.flatnonzero(tail[a:a + LOG_CHUNK])
+        at = np.flatnonzero(rem[a:a + LOG_CHUNK] > 1)
         b = kept + len(at)
         lam_w[kept:b] = lam_w[a:a + LOG_CHUNK][at] * logs[at]
         g_p[kept:b] = g_p[a:a + LOG_CHUNK][at] * logs[at]
@@ -1132,16 +1152,6 @@ def dartyge_survey(X: int, u: float, table: PrimeTable) -> ExperimentReport:
         raise ValueError(f"u must exceed 1, got {u}")
     _admit_window(X, _DARTYGE_BYTES_PER_N, table)
     stats = quadratic_window_stats(X, table)
-    qual = _u_rough(X, table, u)
-    n_q = X + 1 + np.flatnonzero(qual)
-    # log P+(n^2+1) / log n, each log taken in place in its float64 copy
-    ratio = stats.p_plus_m[qual].astype(np.float64)
-    np.log(ratio, out=ratio)
-    log_n = n_q.astype(np.float64)
-    np.log(log_n, out=log_n)
-    ratio /= log_n
-    del log_n
-
     # Omega(m) = 1 + Omega(m / spf(m)) for every cofactor m = n / spf(n)
     # <= X, filled in doubling blocks [lo, 2 lo) of at most LOG_CHUNK
     # entries: m / spf(m) <= m / 2 lies in an earlier block, complete by
@@ -1154,17 +1164,33 @@ def dartyge_survey(X: int, u: float, table: PrimeTable) -> ExperimentReport:
         omega_cofactor[lo:hi] = \
             omega_cofactor[np.arange(lo, hi) // spf_all[lo:hi]] + 1
         lo = hi
-    # only n_q's length is read from here on, so its buffer takes the
-    # cofactors
-    np.floor_divide(n_q, spf_all[n_q], out=n_q)
-    omega_n = omega_cofactor[n_q] + 1
-    del omega_cofactor
+    # LOG_CHUNK window n at a time, at the qualifiers among them: log
+    # P+(n^2+1) / log n, each log taken in place in its float64 copy, and
+    # Omega(n) = 1 + Omega(n / spf(n)); the rough mask (1 B per n) stands
+    # in for a window-long index, so ratio is the one qualifier-long
+    # array of 8 B
+    rough = _u_rough(X, table, u)
+    ratio = np.empty(np.count_nonzero(rough), dtype=np.float64)
+    omega_n = np.empty(len(ratio), dtype=np.int8)
+    kept = 0
+    for a in range(0, X, LOG_CHUNK):
+        i = a + np.flatnonzero(rough[a:a + LOG_CHUNK])
+        b = kept + len(i)
+        log_p = stats.p_plus_m[i].astype(np.float64)
+        np.log(log_p, out=log_p)
+        n = i + (X + 1)
+        log_n = n.astype(np.float64)
+        np.log(log_n, out=log_n)
+        np.divide(log_p, log_n, out=ratio[kept:b])
+        omega_n[kept:b] = omega_cofactor[n // spf_all[n]] + 1
+        kept = b
+    del rough, omega_cofactor
 
     gt1 = ratio > 1.0
     few = omega_n <= 11
     edges = np.arange(0.0, 2.3001, 0.1)
     hist, _ = np.histogram(ratio, bins=edges)
-    counters = {"qualifiers": int(len(n_q)),
+    counters = {"qualifiers": len(ratio),
                 "ratio_gt_1": int(np.sum(gt1)),
                 "omega_n_le_11": int(np.sum(few)),
                 "ratio_gt_1_and_omega_le_11": int(np.sum(gt1 & few))}
@@ -1174,6 +1200,6 @@ def dartyge_survey(X: int, u: float, table: PrimeTable) -> ExperimentReport:
         name="dartyge_survey",
         params={"X": X, "u": u},
         counters=counters,
-        aggregates={"ratio_mean": float(np.mean(ratio)) if len(n_q) else 0.0,
-                    "ratio_max": float(np.max(ratio)) if len(n_q) else 0.0},
+        aggregates={"ratio_mean": float(np.mean(ratio)) if len(ratio) else 0.0,
+                    "ratio_max": float(np.max(ratio)) if len(ratio) else 0.0},
         notes="histogram bins are [lo, lo + 0.1) over the ratio; report-grade")

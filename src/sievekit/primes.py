@@ -335,16 +335,20 @@ def factorize(n: int, table: PrimeTable | None = None) -> Factorization:
         raise ValueError(f"n must be in [1, 2^63), got {n}")
     src = n
     found: dict[int, int] = {}
-    small = _small_table()
-    tab = small if table is None or n <= small.limit else table
+    # chosen before the small table is sieved, which an n that the given
+    # table covers never needs
+    if table is not None and SMALL_TABLE_LIMIT < n <= table.limit:
+        tab = table
+    else:
+        tab = _small_table()
     if n <= tab.limit:
         spf = tab.smallest_prime_factor
         while n > 1:
             p = int(spf[n])
             found[p] = found.get(p, 0) + 1
             n //= p
-    else:
-        for p in map(int, small.primes):
+    else:  # tab is the small table
+        for p in map(int, tab.primes):
             if p * p > n:
                 break
             while n % p == 0:

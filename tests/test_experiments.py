@@ -253,12 +253,13 @@ def test_square_sieve_count(prime_table):
 
 def test_square_sieve_factors_each_ell_from_the_table(monkeypatch):
     # ell <= 2L <= 2X lies in the table, so no ell^2 needs a search: with
-    # the trial-division table cut to {2}, any factorization beyond the
-    # given table would reach the primality test or Pollard-Brent
+    # the small table cut to {2}, any factorization beyond the given table
+    # would reach the primality test or Pollard-Brent
     def refuse(n):
         raise AssertionError(f"searched for a factor of {n}")
     monkeypatch.setattr(primes, "is_prime", refuse)
     monkeypatch.setattr(primes, "_pollard_brent", refuse)
+    monkeypatch.setattr(primes, "SMALL_TABLE_LIMIT", 2)
     monkeypatch.setattr(primes, "_small_table", lambda: sieve_primes(2))
     for X, L in [(1000, 3), (3000, 9), (4000, 100)]:
         table = sieve_primes(2 * X)
@@ -420,7 +421,7 @@ def test_window_stats_refuse_a_window_beyond_available_memory(monkeypatch):
     X = 4 * 10 ** 6
     table = types.SimpleNamespace(limit=2 * X, _window={})
     with pytest.raises(experiments.WindowMemoryError,
-                       match=r"^the window of X = 4000000 needs about 99 "
+                       match=r"^the window of X = 4000000 needs about 76 "
                              r"MiB, more than the 50 MiB available$"):
         quadratic_window_stats(X, table)
 
@@ -944,6 +945,43 @@ def test_leftover_check_guards_both_window_consumers(monkeypatch, consumer):
                         lambda *args: None)
     with pytest.raises(ArithmeticError, match="leftover cofactor"):
         consumer(20001, sieve_primes(2 * 20001))
+
+
+@pytest.mark.parametrize("consumer", [
+    lambda X, t: quadratic_window_stats(X, t),
+    lambda X, t: chebyshev_decomposition(X, 0.847, SHARP, t)],
+    ids=["stats", "chebyshev"])
+def test_leftover_check_reads_the_last_partial_chunk(monkeypatch, consumer):
+    # the check reads rem > 1 one LOG_CHUNK at a time: one leftover at 2X,
+    # the edge of (1, 2X], planted in the last entry, inside the partial
+    # chunk that ends the window, must still be caught
+    X = 20001
+    assert X % experiments.LOG_CHUNK and X > experiments.LOG_CHUNK
+    consumer(X, sieve_primes(2 * X))  # nothing planted: no leftover
+    real = experiments.strike_large_primes
+
+    def strike_then_plant(X, table, ell_min, rem, visit):
+        real(X, table, ell_min, rem, visit)
+        rem[X - 1] = 2 * X
+    monkeypatch.setattr(experiments, "strike_large_primes", strike_then_plant)
+    with pytest.raises(ArithmeticError, match="leftover cofactor"):
+        consumer(X, sieve_primes(2 * X))
+
+
+def test_p_plus_is_int32_only_while_every_prime_struck_fits():
+    # P+ is held in int32 during the strike pass, which takes primes up to
+    # 2X <= 2 X_FACTOR_CAP alone; the leftover cofactors, primes beyond 2X
+    # that can pass 2^31 once n^2 + 1 does (n >= 46341, so X >= 23171),
+    # reach p_plus_m through rem's int64 buffer
+    assert 2 * experiments.X_FACTOR_CAP <= np.iinfo(np.int32).max
+    X = 24000
+    stats = quadratic_window_stats(X, sieve_primes(2 * X))
+    assert stats.p_plus_m.dtype == np.int64
+    big = np.flatnonzero(stats.p_plus_m > np.iinfo(np.int32).max)
+    assert len(big) > 0
+    for i in big.tolist():
+        n = X + 1 + i
+        assert stats.p_plus_m[i] == factorize(n * n + 1).pairs[-1][0]
 
 
 def test_chebyshev_window_of_one_raises(prime_table):

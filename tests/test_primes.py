@@ -226,6 +226,18 @@ def test_jacobi_table_above_the_small_limit_leaves_the_small_table_unbuilt():
     assert primes.SMALL_TABLE_LIMIT == primes._small_table().limit == 10 ** 5
 
 
+def test_factorize_within_the_given_table_leaves_the_small_table_unbuilt():
+    # a fresh process, as above: an n above the small table's reach that
+    # the given table covers is read off that table's spf column alone
+    probe = ("from sievekit import primes\n"
+             "primes._small_table.cache_clear()\n"
+             "f = primes.factorize(200_003, primes.sieve_primes(400_000))\n"
+             "print(f.pairs, primes._small_table.cache_info().currsize)")
+    proc = run(["-c", probe], None)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["((200003,", "1),)", "0"]
+
+
 def test_pow_mod_matches_builtin_pow():
     top = MAX_INT64_SQUARE_ROOT
     m = np.array([2, 3, 7, 1000003, top - 2, top - 1, top] * 3, dtype=np.int64)
